@@ -147,14 +147,8 @@ func MineCyclicContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Di
 // MineContext mines with automatic algorithm choice (like procmine.Mine)
 // under cancellation and limits.
 func MineContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	for _, e := range l.Executions {
-		seen := make(map[string]bool, len(e.Steps))
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				return MineCyclicContext(ctx, l, opt)
-			}
-			seen[s.Activity] = true
-		}
+	if l.HasRepeats() {
+		return MineCyclicContext(ctx, l, opt)
 	}
 	return MineGeneralDAGContext(ctx, l, opt)
 }

@@ -57,19 +57,10 @@ func MineWithDiagnosticsContext(ctx context.Context, l *wlog.Log, opt Options) (
 
 	work := l
 	sp := tr.Start("label")
-	for _, e := range l.Executions {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		seen := map[string]bool{}
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				diag.Labeled = true
-			}
-			seen[s.Activity] = true
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	if diag.Labeled {
+	if diag.Labeled = l.HasRepeats(); diag.Labeled {
 		labeled, err := LabelInstances(l)
 		if err != nil {
 			return nil, nil, err

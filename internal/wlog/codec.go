@@ -15,15 +15,22 @@ import (
 //
 //	<process> <activity> START|END <unix-nanos> [<out0> <out1> ...]
 //
-// Fields are space-separated; process and activity names therefore must not
-// contain spaces (names with spaces should use the CSV or JSON codec).
+// Fields are separated by whitespace as strings.Fields defines it (ASCII
+// and Unicode spaces alike), and a line whose first field starts with '#' is
+// a comment. Names therefore must be non-empty and contain no whitespace,
+// and process names must not start with '#' (use the CSV or JSON codec for
+// such names).
 
-// WriteText writes events in the text-log format.
+// WriteText writes events in the text-log format. It rejects exactly the
+// names the reader would split or skip, so whatever it writes reads back.
 func WriteText(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {
-		if strings.ContainsAny(ev.ProcessID, " \t\n") || strings.ContainsAny(ev.Activity, " \t\n") {
+		if hasSpace(ev.ProcessID) || hasSpace(ev.Activity) {
 			return fmt.Errorf("wlog: text codec cannot encode name with whitespace: %q/%q", ev.ProcessID, ev.Activity)
+		}
+		if ev.ProcessID == "" || ev.Activity == "" || ev.ProcessID[0] == '#' {
+			return fmt.Errorf("wlog: text codec cannot encode empty or comment-like name: %q/%q", ev.ProcessID, ev.Activity)
 		}
 		if _, err := bw.WriteString(ev.String()); err != nil {
 			return err
@@ -47,15 +54,12 @@ func ReadText(r io.Reader) ([]Event, error) {
 // unparseable lines are counted in the report and skipped instead of
 // aborting the read (FailFast behaves exactly like ReadText).
 func ReadTextWith(r io.Reader, opts IngestOptions, rep *IngestReport) ([]Event, *IngestReport, error) {
-	var events []Event
-	rep, err := StreamTextWith(r, opts, rep, func(ev Event) error {
-		events = append(events, ev)
-		return nil
-	})
+	rep = ensureReport(rep, opts)
+	d, evs, err := decodeAll((*decoder).text, r, opts, rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	return events, rep, nil
+	return d.events(evs), rep, nil
 }
 
 // csvHeader is the fixed column set of the CSV codec.
@@ -101,43 +105,12 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 // counted in the report and skipped instead of aborting the read. A
 // malformed header is always fatal.
 func ReadCSVWith(r io.Reader, opts IngestOptions, rep *IngestReport) ([]Event, *IngestReport, error) {
-	var events []Event
-	rep, err := StreamCSVWith(r, opts, rep, func(ev Event) error {
-		events = append(events, ev)
-		return nil
-	})
+	rep = ensureReport(rep, opts)
+	d, evs, err := decodeAll((*decoder).csv, r, opts, rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	return events, rep, nil
-}
-
-// decodeCSVRecord decodes one data row of the CSV codec.
-func decodeCSVRecord(rec []string) (Event, error) {
-	typ, err := ParseEventType(rec[2])
-	if err != nil {
-		return Event{}, err
-	}
-	ns, err := strconv.ParseInt(rec[3], 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("wlog: bad CSV timestamp %q: %w", rec[3], err)
-	}
-	ev := Event{
-		ProcessID: rec[0],
-		Activity:  rec[1],
-		Type:      typ,
-		Time:      time.Unix(0, ns).UTC(),
-	}
-	if rec[4] != "" {
-		for _, f := range strings.Split(rec[4], ";") {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return Event{}, fmt.Errorf("wlog: bad CSV output value %q: %w", f, err)
-			}
-			ev.Output = append(ev.Output, v)
-		}
-	}
-	return ev, nil
+	return d.events(evs), rep, nil
 }
 
 // jsonEvent is the wire form of an event for the JSON codec.

@@ -74,6 +74,45 @@ func TestTextRejectsWhitespaceNames(t *testing.T) {
 	}
 }
 
+// TestTextWriterRejectsWhatReaderSplits checks that WriteText refuses
+// every name the reader would split or skip (any Unicode space, an empty
+// name, a process name read as a comment) and that names it accepts,
+// non-ASCII ones included, read back unchanged.
+func TestTextWriterRejectsWhatReaderSplits(t *testing.T) {
+	t0 := time.Unix(0, 1).UTC()
+	for _, name := range []string{"a b", "a\tb", "a\vb", "a\fb", "a\rb", "a\u0085b", "a\u00a0b", "a\u2003b", "a\u3000b", ""} {
+		for _, ev := range []Event{
+			{ProcessID: name, Activity: "A", Type: Start, Time: t0},
+			{ProcessID: "p", Activity: name, Type: Start, Time: t0},
+		} {
+			if err := WriteText(&bytes.Buffer{}, []Event{ev}); err == nil {
+				t.Errorf("WriteText accepted %q/%q", ev.ProcessID, ev.Activity)
+			}
+		}
+	}
+	if err := WriteText(&bytes.Buffer{}, []Event{{ProcessID: "#p", Activity: "A", Type: Start, Time: t0}}); err == nil {
+		t.Error("WriteText accepted a process name the reader skips as a comment")
+	}
+
+	events := []Event{
+		{ProcessID: "café", Activity: "Überprüfen", Type: Start, Time: t0},
+		{ProcessID: "café", Activity: "Überprüfen", Type: End, Time: t0.Add(1), Output: Output{-4}},
+		{ProcessID: "p", Activity: "a#b\x00\xff", Type: Start, Time: t0.Add(2)},
+		{ProcessID: "p", Activity: "a#b\x00\xff", Type: End, Time: t0.Add(3)},
+	}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, events) {
+		t.Fatalf("round trip: %v, want %v", back, events)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	events := sampleEvents()

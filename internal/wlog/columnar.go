@@ -113,19 +113,27 @@ type Columnar struct {
 // one-time O(total steps · log) cost amortized over every mining call that
 // reuses the result.
 func BuildColumnar(l *Log) *Columnar {
-	labels := l.Activities()
-	in := &Interner{ids: make(map[string]int32, len(labels)), labels: labels}
-	for i, lab := range labels {
-		in.ids[lab] = int32(i)
-	}
-	m := len(l.Executions)
+	in := NewInterner(l.Activities())
 	total := 0
 	for i := range l.Executions {
 		total += len(l.Executions[i].Steps)
 	}
+	acts := make([]int32, 0, total)
+	for i := range l.Executions {
+		for _, s := range l.Executions[i].Steps {
+			acts = append(acts, in.ids[s.Activity])
+		}
+	}
+	return newColumnar(in, l, acts)
+}
+
+// newColumnar builds the view of l from its interner and the dense
+// activity ID of every step, executions concatenated in order.
+func newColumnar(in *Interner, l *Log, acts []int32) *Columnar {
+	m, total := len(l.Executions), len(acts)
 	c := &Columnar{
 		in:        in,
-		acts:      make([]int32, 0, total),
+		acts:      acts,
 		startSec:  make([]int64, 0, total),
 		endSec:    make([]int64, 0, total),
 		startNsec: make([]int32, 0, total),
@@ -136,17 +144,18 @@ func BuildColumnar(l *Log) *Columnar {
 	}
 	// Distinct-set dedup: a generation-marked seen array avoids clearing,
 	// and set signatures are byte-packed IDs (4 bytes little-endian each).
-	seen := make([]int32, len(labels))
+	seen := make([]int32, in.Len())
 	ids := make([]int32, 0, 64)
 	var sig []byte
 	sets := make(map[string]int32)
+	k := 0
 	for e := range l.Executions {
 		gen := int32(e + 1)
 		steps := l.Executions[e].Steps
 		ids = ids[:0]
 		for i := range steps {
-			id := in.ids[steps[i].Activity]
-			c.acts = append(c.acts, id)
+			id := acts[k]
+			k++
 			c.startSec = append(c.startSec, steps[i].Start.Unix())
 			c.startNsec = append(c.startNsec, int32(steps[i].Start.Nanosecond()))
 			c.endSec = append(c.endSec, steps[i].End.Unix())
@@ -156,7 +165,7 @@ func BuildColumnar(l *Log) *Columnar {
 				ids = append(ids, id)
 			}
 		}
-		c.off = append(c.off, int32(len(c.acts)))
+		c.off = append(c.off, int32(k))
 		slices.Sort(ids)
 		sig = sig[:0]
 		for _, id := range ids {
@@ -172,6 +181,31 @@ func BuildColumnar(l *Log) *Columnar {
 		c.execSet = append(c.execSet, s)
 	}
 	return c
+}
+
+// describes reports whether c is exactly the view BuildColumnar(l) would
+// build: same executions, step counts, activities and instants.
+func (c *Columnar) describes(l *Log) bool {
+	if c.NumExecutions() != len(l.Executions) {
+		return false
+	}
+	k := 0
+	for e := range l.Executions {
+		steps := l.Executions[e].Steps
+		if int(c.off[e+1]-c.off[e]) != len(steps) {
+			return false
+		}
+		for i := range steps {
+			s := &steps[i]
+			if c.in.labels[c.acts[k]] != s.Activity ||
+				c.startSec[k] != s.Start.Unix() || c.startNsec[k] != int32(s.Start.Nanosecond()) ||
+				c.endSec[k] != s.End.Unix() || c.endNsec[k] != int32(s.End.Nanosecond()) {
+				return false
+			}
+			k++
+		}
+	}
+	return true
 }
 
 // Interner returns the activity interner.

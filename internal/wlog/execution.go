@@ -34,6 +34,11 @@ func (s Step) Before(other Step) bool {
 
 // Execution is one recorded execution of a process: its identifier plus the
 // activity instances in start-time order.
+//
+// Executions read by the batch readers share one step arena: each Steps is
+// a capacity-clipped slice of it, so appending to one execution's steps
+// reallocates instead of overwriting a neighbour's, and editing a step in
+// place touches only that execution.
 type Execution struct {
 	// ID is the process-execution name P from the event records.
 	ID string
@@ -121,16 +126,25 @@ type Log struct {
 	// Executions in no particular order; each has a unique ID.
 	Executions []Execution
 
-	// colMu guards col, the cached columnar view.
-	colMu sync.Mutex
-	col   *Columnar
+	// colMu guards col, the cached columnar view, and colUnchecked, which
+	// marks a view attached by the assembler that Columnar has not yet
+	// checked against the steps.
+	colMu        sync.Mutex
+	col          *Columnar
+	colUnchecked bool
 }
 
 // Columnar returns the columnar view of the log, building it on first use
-// and caching it for every later mining call. The cache is invalidated by
-// shape: appending or removing executions (or steps) triggers a rebuild on
-// the next call. Mutating steps in place without changing counts is not
-// detected; rebuild with BuildColumnar explicitly after such edits.
+// and caching it for every later mining call.
+//
+// The batch readers (AssembleWith and everything built on it) attach the
+// view as a by-product of assembly when no execution repeats an activity;
+// the first call checks it against the steps, so a log edited in place
+// before its first mine still mines the edited steps. After that the cache
+// is invalidated by shape: appending or removing executions (or steps)
+// triggers a rebuild on the next call. Mutating steps in place without
+// changing counts is not detected; rebuild with BuildColumnar explicitly
+// after such edits.
 func (l *Log) Columnar() *Columnar {
 	steps := 0
 	for i := range l.Executions {
@@ -138,11 +152,34 @@ func (l *Log) Columnar() *Columnar {
 	}
 	l.colMu.Lock()
 	defer l.colMu.Unlock()
+	if l.colUnchecked {
+		l.colUnchecked = false
+		if !l.col.describes(l) {
+			l.col = nil
+		}
+	}
 	if l.col != nil && l.col.NumExecutions() == len(l.Executions) && l.col.NumSteps() == steps {
 		return l.col
 	}
 	l.col = BuildColumnar(l)
 	return l.col
+}
+
+// HasRepeats reports whether any execution contains an activity twice —
+// the test that sends a log to Algorithm 3. It reuses one set across
+// executions and never builds the columnar view.
+func (l *Log) HasRepeats() bool {
+	seen := map[string]bool{}
+	for _, e := range l.Executions {
+		clear(seen)
+		for _, s := range e.Steps {
+			if seen[s.Activity] {
+				return true
+			}
+			seen[s.Activity] = true
+		}
+	}
+	return false
 }
 
 // Len returns the number of executions (the paper's m).
@@ -220,59 +257,4 @@ func LogFromStrings(seqs ...string) *Log {
 		l.Executions = append(l.Executions, FromString(fmt.Sprintf("x%d", i+1), s))
 	}
 	return l
-}
-
-// Assemble groups raw event records into executions: records are bucketed by
-// ProcessID, sorted by time, and each END event is paired with the earliest
-// unmatched START of the same activity (FIFO pairing, which is exact for
-// non-overlapping instances of the same activity and a standard convention
-// otherwise). Steps are then ordered by start time.
-//
-// It returns an error when an END has no matching START, or a START never
-// terminates.
-func Assemble(events []Event) (*Log, error) {
-	byProc := map[string][]Event{}
-	var order []string
-	for _, ev := range events {
-		if _, seen := byProc[ev.ProcessID]; !seen {
-			order = append(order, ev.ProcessID)
-		}
-		byProc[ev.ProcessID] = append(byProc[ev.ProcessID], ev)
-	}
-	sort.Strings(order)
-
-	log := &Log{}
-	for _, pid := range order {
-		evs := byProc[pid]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-		// open[activity] holds indices into steps of not-yet-ended instances.
-		open := map[string][]int{}
-		var steps []Step
-		for _, ev := range evs {
-			switch ev.Type {
-			case Start:
-				open[ev.Activity] = append(open[ev.Activity], len(steps))
-				steps = append(steps, Step{Activity: ev.Activity, Start: ev.Time})
-			case End:
-				q := open[ev.Activity]
-				if len(q) == 0 {
-					return nil, fmt.Errorf("wlog: execution %q: END of %q at %v without a START", pid, ev.Activity, ev.Time)
-				}
-				idx := q[0]
-				open[ev.Activity] = q[1:]
-				steps[idx].End = ev.Time
-				steps[idx].Output = ev.Output.Clone()
-			default:
-				return nil, fmt.Errorf("wlog: execution %q: invalid event type %v", pid, ev.Type)
-			}
-		}
-		for a, q := range open {
-			if len(q) > 0 {
-				return nil, fmt.Errorf("wlog: execution %q: activity %q started but never ended", pid, a)
-			}
-		}
-		sort.SliceStable(steps, func(i, j int) bool { return steps[i].Start.Before(steps[j].Start) })
-		log.Executions = append(log.Executions, Execution{ID: pid, Steps: steps})
-	}
-	return log, nil
 }

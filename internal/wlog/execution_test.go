@@ -149,6 +149,22 @@ func TestAssembleStartWithoutEnd(t *testing.T) {
 	}
 }
 
+// TestAssembleUnterminatedErrorIsDeterministic pins the FailFast message
+// for an execution with several unterminated STARTs: it names the
+// alphabetically first activity on every call.
+func TestAssembleUnterminatedErrorIsDeterministic(t *testing.T) {
+	var evs []Event
+	for i, a := range []string{"C", "A", "B"} {
+		evs = append(evs, Event{ProcessID: "p", Activity: a, Type: Start, Time: time.Unix(int64(i), 0)})
+	}
+	const want = `wlog: execution "p": activity "A" started but never ended`
+	for i := 0; i < 100; i++ {
+		if _, err := Assemble(evs); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Assemble error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestAssembleInterleavedProcesses(t *testing.T) {
 	// Events from two executions interleaved in time must separate cleanly.
 	a := FromString("a", "AB")

@@ -304,118 +304,14 @@ func handleBadRecord(opts IngestOptions, rep *IngestReport, e IngestError) error
 	rep.record(e)
 	rep.RecordsSkipped++
 	if rep.overBudget(opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
+		return errTooManyErrors(rep, opts)
 	}
 	return nil
 }
 
-// AssembleWith groups raw event records into executions under a recovery
-// policy, accumulating into rep (which may be nil). Under FailFast it matches
-// Assemble. Under Skip, an END without a START is dropped and a START that
-// never ends loses just that step. Under Quarantine, any execution touched
-// by either fault is set aside whole and its ID recorded, preserving
-// conformality of what remains. Executions left empty are dropped silently
-// only if they were quarantined; otherwise an empty execution cannot arise
-// (every kept step decoded cleanly).
-func AssembleWith(events []Event, opts IngestOptions, rep *IngestReport) (*Log, *IngestReport, error) {
-	rep = ensureReport(rep, opts)
-	if !opts.lenient() {
-		l, err := Assemble(events)
-		return l, rep, err
-	}
-
-	byProc := map[string][]Event{}
-	var order []string
-	for _, ev := range events {
-		if _, seen := byProc[ev.ProcessID]; !seen {
-			order = append(order, ev.ProcessID)
-		}
-		byProc[ev.ProcessID] = append(byProc[ev.ProcessID], ev)
-	}
-	sort.Strings(order)
-
-	log := &Log{}
-	for _, pid := range order {
-		evs := byProc[pid]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-		open := map[string][]int{}
-		var steps []Step
-		bad := false // execution touched by a structural fault
-		for _, ev := range evs {
-			switch ev.Type {
-			case Start:
-				open[ev.Activity] = append(open[ev.Activity], len(steps))
-				steps = append(steps, Step{Activity: ev.Activity, Start: ev.Time})
-			case End:
-				q := open[ev.Activity]
-				if len(q) == 0 {
-					bad = true
-					rep.record(IngestError{
-						Class:     ClassStructure,
-						Execution: pid,
-						Err:       fmt.Errorf("%w: END of %q at %v", ErrEndWithoutStart, ev.Activity, ev.Time),
-					})
-					rep.RecordsSkipped++
-					continue
-				}
-				idx := q[0]
-				open[ev.Activity] = q[1:]
-				steps[idx].End = ev.Time
-				steps[idx].Output = ev.Output.Clone()
-			default:
-				bad = true
-				rep.record(IngestError{
-					Class:     ClassSyntax,
-					Execution: pid,
-					Err:       fmt.Errorf("invalid event type %v", ev.Type),
-				})
-				rep.RecordsSkipped++
-			}
-		}
-		for _, a := range sortedKeys(open) {
-			for range open[a] {
-				bad = true
-				rep.record(IngestError{
-					Class:     ClassStructure,
-					Execution: pid,
-					Err:       fmt.Errorf("%w: activity %q", ErrUnterminatedStart, a),
-				})
-			}
-		}
-		if opts.MaxStepsPerExecution > 0 && len(steps) > opts.MaxStepsPerExecution {
-			bad = true
-			rep.record(IngestError{
-				Class:     ClassLimit,
-				Execution: pid,
-				Err:       fmt.Errorf("%w: %d steps > %d", ErrExecutionTooLong, len(steps), opts.MaxStepsPerExecution),
-			})
-		}
-		if bad && opts.Policy == Quarantine {
-			rep.quarantine(pid)
-			if rep.overBudget(opts) {
-				return nil, rep, fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
-			}
-			continue
-		}
-		// Skip: drop unterminated steps, keep the rest.
-		kept := steps[:0]
-		for _, s := range steps {
-			if s.End.IsZero() {
-				rep.StepsDropped++
-				continue
-			}
-			kept = append(kept, s)
-		}
-		if rep.overBudget(opts) {
-			return nil, rep, fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		sort.SliceStable(kept, func(i, j int) bool { return kept[i].Start.Before(kept[j].Start) })
-		log.Executions = append(log.Executions, Execution{ID: pid, Steps: kept})
-	}
-	return log, rep, nil
+// errTooManyErrors is the error-budget failure of lenient ingestion.
+func errTooManyErrors(rep *IngestReport, opts IngestOptions) error {
+	return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
 }
 
 // sortedKeys returns the map's keys sorted, for deterministic error order.

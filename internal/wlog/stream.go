@@ -1,14 +1,10 @@
 package wlog
 
 import (
-	"bufio"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 )
 
 // StreamText reads the text-log format one event at a time, calling fn for
@@ -26,65 +22,8 @@ func StreamText(r io.Reader, fn func(Event) error) error {
 // from fn always stops the scan regardless of policy.
 func StreamTextWith(r io.Reader, opts IngestOptions, rep *IngestReport, fn func(Event) error) (*IngestReport, error) {
 	rep = ensureReport(rep, opts)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rep.RecordsRead++
-		ev, err := parseTextLine(line)
-		if err != nil {
-			if !opts.lenient() {
-				return rep, fmt.Errorf("wlog: line %d: %w", lineno, err)
-			}
-			if err := handleBadRecord(opts, rep, IngestError{Class: ClassSyntax, Record: lineno, Err: err}); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		rep.EventsDecoded++
-		if err := fn(ev); err != nil {
-			return rep, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return rep, fmt.Errorf("wlog: scanning: %w", err)
-	}
-	return rep, nil
-}
-
-// parseTextLine decodes one text-codec line.
-func parseTextLine(line string) (Event, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return Event{}, fmt.Errorf("need at least 4 fields, got %d", len(fields))
-	}
-	typ, err := ParseEventType(fields[2])
-	if err != nil {
-		return Event{}, err
-	}
-	ns, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("bad timestamp %q: %w", fields[3], err)
-	}
-	ev := Event{
-		ProcessID: fields[0],
-		Activity:  fields[1],
-		Type:      typ,
-		Time:      time.Unix(0, ns).UTC(),
-	}
-	for _, f := range fields[4:] {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return Event{}, fmt.Errorf("bad output value %q: %w", f, err)
-		}
-		ev.Output = append(ev.Output, v)
-	}
-	return ev, nil
+	var d decoder
+	return rep, d.text(r, opts, rep, d.stream(fn))
 }
 
 // ExecutionStream groups a stream of events into completed executions on
@@ -156,7 +95,7 @@ func (s *ExecutionStream) bad(e IngestError, err error) error {
 		s.quarantineExec(e.Execution)
 	}
 	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
+		return errTooManyErrors(s.rep, s.opts)
 	}
 	return nil
 }
@@ -206,7 +145,7 @@ func (s *ExecutionStream) Push(ev Event) error {
 			s.rep.record(e)
 			s.quarantineExec(ev.ProcessID)
 			if s.rep.overBudget(s.opts) {
-				return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
+				return errTooManyErrors(s.rep, s.opts)
 			}
 		}
 	case End:
@@ -264,7 +203,7 @@ func (s *ExecutionStream) evictStalest(incoming string) error {
 	})
 	s.quarantineExec(stalest)
 	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
+		return errTooManyErrors(s.rep, s.opts)
 	}
 	return nil
 }
@@ -354,7 +293,7 @@ func (s *ExecutionStream) Close() error {
 		}
 	}
 	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
+		return errTooManyErrors(s.rep, s.opts)
 	}
 	return nil
 }
@@ -372,49 +311,6 @@ func StreamCSV(r io.Reader, fn func(Event) error) error {
 // fatal: with no recognizable schema nothing downstream can recover.
 func StreamCSVWith(r io.Reader, opts IngestOptions, rep *IngestReport, fn func(Event) error) (*IngestReport, error) {
 	rep = ensureReport(rep, opts)
-	want := csvHeader()
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(want)
-	header, err := cr.Read()
-	if err != nil {
-		return rep, fmt.Errorf("wlog: reading CSV header: %w", err)
-	}
-	for i, h := range want {
-		if header[i] != h {
-			return rep, fmt.Errorf("wlog: CSV header column %d is %q, want %q", i, header[i], h)
-		}
-	}
-	recno := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return rep, nil
-		}
-		recno++
-		if err != nil {
-			rep.RecordsRead++
-			if !opts.lenient() {
-				return rep, fmt.Errorf("wlog: CSV record %d: %w", recno, err)
-			}
-			if err := handleBadRecord(opts, rep, IngestError{Class: ClassSyntax, Record: recno, Err: err}); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		rep.RecordsRead++
-		ev, err := decodeCSVRecord(rec)
-		if err != nil {
-			if !opts.lenient() {
-				return rep, fmt.Errorf("wlog: CSV record %d: %w", recno, err)
-			}
-			if err := handleBadRecord(opts, rep, IngestError{Class: ClassSyntax, Record: recno, Err: err}); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		rep.EventsDecoded++
-		if err := fn(ev); err != nil {
-			return rep, err
-		}
-	}
+	var d decoder
+	return rep, d.csv(r, opts, rep, d.stream(fn))
 }

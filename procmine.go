@@ -158,7 +158,7 @@ var (
 // the algorithm automatically: Algorithm 3 when any execution contains a
 // repeated activity (the process has cycles), Algorithm 2 otherwise.
 func Mine(l *Log, opt Options) (*Graph, error) {
-	if hasRepeats(l) {
+	if l.HasRepeats() {
 		return core.MineCyclic(l, opt)
 	}
 	return core.MineGeneralDAG(l, opt)
@@ -191,20 +191,6 @@ func MineDAG(l *Log, opt Options) (*Graph, error) {
 // instances are labeled apart, mined, and merged back.
 func MineCyclic(l *Log, opt Options) (*Graph, error) {
 	return core.MineCyclic(l, opt)
-}
-
-// hasRepeats reports whether any execution contains an activity twice.
-func hasRepeats(l *Log) bool {
-	for _, e := range l.Executions {
-		seen := make(map[string]bool, len(e.Steps))
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				return true
-			}
-			seen[s.Activity] = true
-		}
-	}
-	return false
 }
 
 // Consistent checks Definition 6: whether one execution is consistent with a
@@ -279,29 +265,26 @@ func ReadLog(r io.Reader, format LogFormat) (*Log, error) {
 // skipped (or their executions quarantined) per opts instead of aborting the
 // read, and the returned IngestReport counts exactly what happened. One
 // report spans both decoding and assembly. Under the zero-value options
-// (FailFast) it behaves exactly like ReadLog.
+// (FailFast) it behaves exactly like ReadLog. Text and CSV are decoded
+// straight into the log in a single pass, with no intermediate events.
 func ReadLogWith(r io.Reader, format LogFormat, opts IngestOptions) (*Log, *IngestReport, error) {
 	rep := wlog.NewIngestReport(opts)
-	var (
-		events []Event
-		err    error
-	)
 	switch format {
 	case FormatText:
-		events, rep, err = wlog.ReadTextWith(r, opts, rep)
+		return wlog.ReadTextLogWith(r, opts, rep)
 	case FormatCSV:
-		events, rep, err = wlog.ReadCSVWith(r, opts, rep)
+		return wlog.ReadCSVLogWith(r, opts, rep)
 	case FormatJSON:
-		events, rep, err = wlog.ReadJSONWith(r, opts, rep)
+		events, rep, err := wlog.ReadJSONWith(r, opts, rep)
+		if err != nil {
+			return nil, rep, err
+		}
+		return wlog.AssembleWith(events, opts, rep)
 	case FormatXES:
 		return wlog.ReadXESWith(r, opts, rep)
 	default:
 		return nil, rep, fmt.Errorf("procmine: unknown log format %d", format)
 	}
-	if err != nil {
-		return nil, rep, err
-	}
-	return wlog.AssembleWith(events, opts, rep)
 }
 
 // WriteLog encodes the log's events to w in the given format.
