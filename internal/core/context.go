@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"procmine/internal/graph"
+	"procmine/internal/obs"
 	"procmine/internal/wlog"
 )
 
@@ -28,12 +29,10 @@ var (
 	ErrTooManyInstances = errors.New("core: too many activity instances")
 )
 
-// checkAlphabet enforces Options.MaxActivities against a log.
-func checkAlphabet(l *wlog.Log, opt Options) error {
-	if opt.MaxActivities <= 0 {
-		return nil
-	}
-	if n := len(l.Activities()); n > opt.MaxActivities {
+// checkAlphabet enforces Options.MaxActivities against an alphabet of n
+// activities.
+func checkAlphabet(n int, opt Options) error {
+	if opt.MaxActivities > 0 && n > opt.MaxActivities {
 		return fmt.Errorf("%w: %d > MaxActivities=%d", ErrTooManyActivities, n, opt.MaxActivities)
 	}
 	return nil
@@ -62,7 +61,7 @@ func checkInstances(l *wlog.Log, opt Options) error {
 // is checked between the precondition scan, the pair-counting pass, and the
 // transitive reduction.
 func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkAlphabet(l, opt); err != nil {
+	if err := checkAlphabet(len(l.Activities()), opt); err != nil {
 		return nil, err
 	}
 	if err := specialFormError(l); err != nil {
@@ -98,31 +97,7 @@ func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 // transitive reduction of the marking pass (the O(mn³) hot spot), so a
 // cancelled mine returns promptly even on very large logs.
 func MineGeneralDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkAlphabet(l, opt); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
-	g, err := dependencyGraph(l, opt) // steps 1-4
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	marked, err := markRequired(ctx, g, l.Columnar())
-	if err != nil {
-		return nil, err
-	}
-	// Step 6: remove the unmarked edges.
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	return g, nil
+	return mineLog(ctx, l, opt, false, nil, nil)
 }
 
 // MineCyclicContext is MineCyclic with cancellation and limits: the
@@ -130,25 +105,67 @@ func MineGeneralDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 // before the labeled alphabet is materialized, and the labeled alphabet is
 // itself subject to Options.MaxActivities.
 func MineCyclicContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkInstances(l, opt); err != nil {
+	return mineLog(ctx, l, opt, true, nil, nil)
+}
+
+// mineLog is the batch driver of the count-to-graph pipeline: Algorithm 3
+// when label is set (instance labeling, mineCounts on the labeled log, then
+// the instance merge), Algorithm 2 otherwise. It records the batch stages
+// label → columnar → scan (with one sub-span per parallel scan worker) →
+// threshold → scc → mark → reduce on tr, and the funnel on diag; both may
+// be nil.
+func mineLog(ctx context.Context, l *wlog.Log, opt Options, label bool, tr *obs.Trace, diag *Diagnostics) (*graph.Digraph, error) {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	labeled, err := LabelInstances(l)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mined, err := MineGeneralDAGContext(ctx, labeled, opt)
-	if err != nil {
-		return nil, fmt.Errorf("core: mining labeled log: %w", err)
+	sp := tr.Start("label")
+	work := l
+	if label {
+		if err := checkInstances(l, opt); err != nil {
+			return nil, err
+		}
+		var err error
+		if work, err = LabelInstances(l); err != nil {
+			return nil, err
+		}
 	}
-	return MergeInstances(mined), nil
+	sp.End()
+
+	// Materializing the columnar view here makes its cost its own stage
+	// instead of folding it into the scan's.
+	sp = tr.Start("columnar")
+	col := work.Columnar()
+	sp.End()
+	if diag != nil {
+		diag.Activities = col.Alphabet()
+	}
+	setIDs, setOff := col.DistinctSets()
+	in := countInput{labels: col.Labels(), setIDs: setIDs, setOff: setOff, count: func() pairCounts {
+		sp := tr.Start("scan")
+		defer sp.End()
+		return scanCountsTraced(work, tr)
+	}}
+	g, err := mineCounts(ctx, in, opt, "threshold", tr, diag)
+	if err != nil {
+		if label {
+			return nil, fmt.Errorf("core: mining labeled log: %w", err)
+		}
+		return nil, err
+	}
+
+	sp = tr.Start("reduce")
+	if label {
+		g = MergeInstances(g)
+	}
+	sp.End()
+	return g, nil
 }
 
 // MineContext mines with automatic algorithm choice (like procmine.Mine)
 // under cancellation and limits.
 func MineContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if l.HasRepeats() {
-		return MineCyclicContext(ctx, l, opt)
-	}
-	return MineGeneralDAGContext(ctx, l, opt)
+	return mineLog(ctx, l, opt, l.HasRepeats(), nil, nil)
 }

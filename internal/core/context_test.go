@@ -79,6 +79,19 @@ func TestMaxActivitiesLimit(t *testing.T) {
 	if _, err := MineContext(context.Background(), l, Options{MaxActivities: 2}); !errors.Is(err, ErrTooManyActivities) {
 		t.Errorf("auto: err = %v, want ErrTooManyActivities", err)
 	}
+	if _, _, err := MineWithDiagnosticsContext(context.Background(), l, Options{MaxActivities: 2}); !errors.Is(err, ErrTooManyActivities) {
+		t.Errorf("diagnostics: err = %v, want ErrTooManyActivities", err)
+	}
+	im := NewIncrementalMiner()
+	if err := im.AddLog(l); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := im.MineContext(context.Background(), Options{MaxActivities: 2}); !errors.Is(err, ErrTooManyActivities) {
+		t.Errorf("incremental: err = %v, want ErrTooManyActivities", err)
+	}
+	if _, err := im.MineContext(context.Background(), Options{MaxActivities: 5}); err != nil {
+		t.Errorf("incremental, 5 activities vs cap 5: unexpected err %v", err)
+	}
 }
 
 func TestMaxInstanceLabelsLimit(t *testing.T) {
@@ -92,6 +105,9 @@ func TestMaxInstanceLabelsLimit(t *testing.T) {
 	}
 	if _, err := MineContext(context.Background(), l, Options{MaxInstanceLabels: 2}); !errors.Is(err, ErrTooManyInstances) {
 		t.Errorf("auto: err = %v, want ErrTooManyInstances", err)
+	}
+	if _, _, err := MineWithDiagnosticsContext(context.Background(), l, Options{MaxInstanceLabels: 2}); !errors.Is(err, ErrTooManyInstances) {
+		t.Errorf("diagnostics: err = %v, want ErrTooManyInstances", err)
 	}
 }
 

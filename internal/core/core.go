@@ -121,10 +121,10 @@ const denseAlphabetMax = 2048
 // scanCounts runs the step-2 scan (shared by every algorithm): the
 // columnar followsCounts kernel over pooled dense matrices for alphabets
 // up to denseAlphabetMax — sharded across scanWorkers goroutines when the
-// log is large enough — and the map accumulator beyond. The dense counts
-// are converted to the pairCounts map form exactly once, at the end, so
-// every downstream consumer (threshold rules, diagnostics, Support) reads
-// one representation regardless of the path taken.
+// log is large enough — and the sequential map accumulator beyond. The
+// dense counts are converted to the pairCounts map form exactly once, at
+// the end, so every downstream consumer (threshold rules, diagnostics,
+// Support) reads one representation regardless of the path taken.
 func scanCounts(l *wlog.Log) pairCounts {
 	return scanCountsTraced(l, nil)
 }
@@ -136,9 +136,6 @@ func scanCountsTraced(l *wlog.Log, tr *obs.Trace) pairCounts {
 	col := l.Columnar()
 	n := col.Alphabet()
 	if n > denseAlphabetMax {
-		if w := scanWorkers(col.NumExecutions(), n); w > 1 {
-			return followsCountsMapParallel(l, w)
-		}
 		return followsCountsMap(l)
 	}
 	m := col.NumExecutions()
@@ -238,11 +235,7 @@ func followsCounts(col *wlog.Columnar, cs *wlog.Counts, lo, hi int) {
 func countsToPairs(col *wlog.Columnar, cs *wlog.Counts) pairCounts {
 	labels := col.Labels()
 	n := cs.N
-	pc := pairCounts{
-		order:   make(map[graph.Edge]int),
-		overlap: make(map[graph.Edge]int),
-		cooc:    make(map[graph.Edge]int),
-	}
+	pc := newPairCounts()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			cell := u*n + v
@@ -262,78 +255,91 @@ func countsToPairs(col *wlog.Columnar, cs *wlog.Counts) pairCounts {
 	return pc
 }
 
+// newPairCounts returns empty count maps.
+func newPairCounts() pairCounts {
+	return pairCounts{
+		order:   make(map[graph.Edge]int),
+		overlap: make(map[graph.Edge]int),
+		cooc:    make(map[graph.Edge]int),
+	}
+}
+
 // followsCountsMap is the hash-map accumulator, retained for very large
 // alphabets where dense matrices would dominate memory (and as the oracle
 // the columnar kernel is property-tested against). FollowsCountsMap exposes
 // it for the ablation benchmark.
 func followsCountsMap(l *wlog.Log) pairCounts {
-	pc := pairCounts{
-		order:   make(map[graph.Edge]int),
-		overlap: make(map[graph.Edge]int),
-		cooc:    make(map[graph.Edge]int),
-	}
+	pc := newPairCounts()
 	for _, exec := range l.Executions {
-		seenOrder := make(map[graph.Edge]bool)
-		seenOverlap := make(map[graph.Edge]bool)
-		acts := exec.ActivitySet()
-		for i := 0; i < len(acts); i++ {
-			for j := i + 1; j < len(acts); j++ {
-				pc.cooc[graph.Edge{From: acts[i], To: acts[j]}]++
-			}
-		}
-		steps := exec.Steps
-		for i := range steps {
-			for j := range steps {
-				if i == j || steps[i].Activity == steps[j].Activity {
-					continue
-				}
-				switch {
-				case steps[i].Before(steps[j]):
-					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-					if !seenOrder[e] {
-						seenOrder[e] = true
-						pc.order[e]++
-					}
-				case i < j && steps[i].Overlaps(steps[j]):
-					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-					if e.From > e.To {
-						e.From, e.To = e.To, e.From
-					}
-					if !seenOverlap[e] {
-						seenOverlap[e] = true
-						pc.overlap[e]++
-					}
-				}
-			}
-		}
+		pc.add(exec)
 	}
 	return pc
 }
 
-// buildFollowsGraph performs steps 1-3 shared by all algorithms: accumulate
-// pairwise-order edges with support counts, apply the noise threshold, and
-// delete edges that appear in both directions (2-cycles). The vertex set is
-// every activity observed in the log, so activities that never participate
-// in an ordered pair still become vertices.
+// add accumulates one execution's step-2 counts into pc and returns the
+// execution's sorted distinct activity set. It is the per-execution body of
+// the map accumulator, and the fold IncrementalMiner.Add runs.
+func (pc pairCounts) add(exec wlog.Execution) []string {
+	seenOrder := make(map[graph.Edge]bool)
+	seenOverlap := make(map[graph.Edge]bool)
+	acts := exec.ActivitySet()
+	for i := 0; i < len(acts); i++ {
+		for j := i + 1; j < len(acts); j++ {
+			pc.cooc[graph.Edge{From: acts[i], To: acts[j]}]++
+		}
+	}
+	steps := exec.Steps
+	for i := range steps {
+		for j := range steps {
+			if i == j || steps[i].Activity == steps[j].Activity {
+				continue
+			}
+			switch {
+			case steps[i].Before(steps[j]):
+				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
+				if !seenOrder[e] {
+					seenOrder[e] = true
+					pc.order[e]++
+				}
+			case i < j && steps[i].Overlaps(steps[j]):
+				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
+				if e.From > e.To {
+					e.From, e.To = e.To, e.From
+				}
+				if !seenOverlap[e] {
+					seenOverlap[e] = true
+					pc.overlap[e]++
+				}
+			}
+		}
+	}
+	return acts
+}
+
+// buildFollowsGraph performs steps 1-3 on a log: the step-2 scan, then
+// assembleFollowsGraph.
+func buildFollowsGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	return assembleFollowsGraph(l.Columnar().Labels(), scanCounts(l), opt, nil)
+}
+
+// assembleFollowsGraph performs steps 1-3 shared by all algorithms on
+// precomputed pair counts: add the pairwise-order edges that meet the noise
+// threshold, and delete edges that appear in both directions (2-cycles).
+// The vertex set is every activity of the alphabet, so activities that
+// never participate in an ordered pair still become vertices. It is the
+// single implementation of the threshold and cancellation rules, so no two
+// mining paths can diverge on noise handling. A non-nil diag counts the
+// pairs each rule removed. Options must have been validated by the caller.
 //
 // Beyond the paper's instantaneous-activities simplification, an observed
 // overlap between two activities also cancels any edges between them: by
 // Definition 3 a following requires the order to hold in *each* execution
 // where both appear, and an overlap breaks that. Overlap observations below
 // the noise threshold are ignored, symmetrically with order observations.
-func buildFollowsGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	return assembleFollowsGraph(l.Columnar().Labels(), scanCounts(l), opt)
-}
-
-// assembleFollowsGraph performs steps 1-3 on precomputed pair counts. It is
-// the single implementation of the threshold and cancellation rules, shared
-// by the batch path (buildFollowsGraph) and IncrementalMiner.Mine, so the
-// two paths cannot diverge on noise handling. Options must have been
-// validated by the caller.
-func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*graph.Digraph, error) {
+func assembleFollowsGraph(activities []string, pc pairCounts, opt Options, diag *Diagnostics) (*graph.Digraph, error) {
 	g := graph.New()
 	for _, a := range activities {
 		g.AddVertex(a)
@@ -359,12 +365,14 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 		}
 		return t, nil
 	}
+	var below, twoCycle, overlap int
 	for e, c := range pc.order {
 		t, err := threshold(e)
 		if err != nil {
 			return nil, err
 		}
 		if c < t {
+			below++
 			continue
 		}
 		g.AddEdge(e.From, e.To)
@@ -375,6 +383,7 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 		if e.From < e.To && g.HasEdge(e.To, e.From) {
 			g.RemoveEdge(e.From, e.To)
 			g.RemoveEdge(e.To, e.From)
+			twoCycle += 2
 		}
 	}
 	for e, c := range pc.overlap {
@@ -388,8 +397,16 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 		if c < min {
 			continue
 		}
-		g.RemoveEdge(e.From, e.To)
-		g.RemoveEdge(e.To, e.From)
+		if g.RemoveEdge(e.From, e.To) {
+			overlap++
+		}
+		if g.RemoveEdge(e.To, e.From) {
+			overlap++
+		}
+	}
+	if diag != nil {
+		diag.OrderedPairs = len(pc.order)
+		diag.BelowThreshold, diag.TwoCycleRemoved, diag.OverlapRemoved = below, twoCycle, overlap
 	}
 	return g, nil
 }
@@ -440,12 +457,6 @@ func specialFormError(l *wlog.Log) error {
 	return nil
 }
 
-// adaptiveThreshold is the per-pair Section 6 balance rule used by both the
-// followings-graph builder and the diagnostics funnel.
-func adaptiveThreshold(cooc int, eps float64) (int, error) {
-	return noise.ThresholdFor(cooc, eps)
-}
-
 // FollowsCountsMap returns the ordered-pair support counts computed with
 // the hash-map accumulator — the baseline the dense columnar kernel is
 // benchmarked against (see bench_test.go's ablations) and the oracle the
@@ -474,22 +485,16 @@ func FollowsCountsSequential(l *wlog.Log) map[graph.Edge]int {
 // FollowsCountsParallel returns the ordered-pair support counts computed by
 // the sharded scan with exactly the given worker count, regardless of
 // GOMAXPROCS or the log's size — the treatment arm of the parallel-scan
-// ablation. Worker counts below 2 (or logs with fewer executions than
-// workers) fall back to the sequential accumulator. The result is
+// ablation. Worker counts below 2, logs with fewer executions than
+// workers, and alphabets past parallelDenseAlphabetMax fall back to the
+// sequential accumulator (see ScanWorkersUsed). The result is
 // identical to FollowsCountsSequential's for every log and worker count.
 func FollowsCountsParallel(l *wlog.Log, workers int) map[graph.Edge]int {
-	col := l.Columnar()
-	if workers > col.NumExecutions() {
-		workers = col.NumExecutions()
-	}
+	workers = ScanWorkersUsed(l, workers)
 	if workers < 2 {
 		return FollowsCountsSequential(l)
 	}
-	if col.Alphabet() > parallelDenseAlphabetMax {
-		// Past the per-worker dense-memory budget the shards accumulate into
-		// maps, exactly as the auto-dispatched path would.
-		return followsCountsMapParallel(l, workers).order
-	}
+	col := l.Columnar()
 	cs := scanShards(col, workers, nil)
 	pc := countsToPairs(col, cs)
 	col.ReleaseCounts(cs)

@@ -89,13 +89,3 @@ func (d *DependencyRelation) Activities() []string { return d.follows.Vertices()
 func (d *DependencyRelation) Graph() *graph.Digraph {
 	return d.depGraph.Clone()
 }
-
-// dependencyGraph runs steps 1-4 of Algorithm 2 directly on a log.
-func dependencyGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	g, err := buildFollowsGraph(l, opt)
-	if err != nil {
-		return nil, err
-	}
-	g.RemoveIntraSCCEdges()
-	return g, nil
-}

@@ -45,119 +45,19 @@ func MineWithDiagnostics(l *wlog.Log, opt Options) (*graph.Digraph, *Diagnostics
 	return MineWithDiagnosticsContext(context.Background(), l, opt)
 }
 
-// MineWithDiagnosticsContext is MineWithDiagnostics under cancellation: ctx
-// is checked while scanning executions and by the marking pass, so tracing
-// a mine on a huge log can be abandoned promptly.
+// MineWithDiagnosticsContext is MineWithDiagnostics under cancellation and
+// limits: it runs the same pipeline as MineContext, with the funnel counted
+// inside its stages rather than reconstructed afterwards.
 func MineWithDiagnosticsContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, *Diagnostics, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, nil, err
-	}
-	diag := &Diagnostics{Executions: l.Len()}
+	diag := &Diagnostics{Executions: l.Len(), Labeled: l.HasRepeats()}
 	tr := obs.NewTrace()
-
-	work := l
-	sp := tr.Start("label")
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if diag.Labeled = l.HasRepeats(); diag.Labeled {
-		labeled, err := LabelInstances(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		work = labeled
-	}
-	sp.End()
-	diag.Activities = len(work.Activities())
-
-	// Materializing the columnar view here makes its cost its own stage
-	// instead of folding it into the scan's.
-	sp = tr.Start("columnar")
-	work.Columnar()
-	sp.End()
-
-	sp = tr.Start("scan")
-	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; diagnostics mirror the mining pipeline's phase-boundary cancellation
-	pc := scanCountsTraced(work, tr)
-	sp.End()
-	diag.OrderedPairs = len(pc.order)
-
-	// Reconstruct the funnel stage by stage, reusing the pair counts
-	// already accumulated above instead of rescanning the log.
-	sp = tr.Start("threshold")
-	g, err := assembleFollowsGraph(work.Activities(), pc, opt)
+	g, err := mineLog(ctx, l, opt, diag.Labeled, tr, diag)
 	if err != nil {
 		return nil, nil, err
 	}
-	afterSteps13 := g.NumEdges()
-	// Edges that never made it: below threshold, 2-cycle, or overlap.
-	kept := map[graph.Edge]bool{}
-	for _, e := range g.Edges() {
-		kept[e] = true
-	}
-	for e, c := range pc.order {
-		if kept[e] {
-			continue
-		}
-		min := opt.MinSupport
-		if opt.AdaptiveEpsilon > 0 && opt.AdaptiveEpsilon < 0.5 {
-			key := e
-			if key.From > key.To {
-				key.From, key.To = key.To, key.From
-			}
-			if t, err := thresholdForPair(pc.cooc[key], opt.AdaptiveEpsilon); err == nil {
-				min = t
-			}
-		}
-		switch {
-		case c < min:
-			diag.BelowThreshold++
-		case pc.order[graph.Edge{From: e.To, To: e.From}] >= min && pc.order[graph.Edge{From: e.To, To: e.From}] > 0:
-			diag.TwoCycleRemoved++
-		default:
-			diag.OverlapRemoved++
-		}
-	}
-	sp.End()
-
-	sp = tr.Start("scc")
-	for _, c := range g.SCCs() {
-		if len(c) > 1 {
-			diag.SCCs = append(diag.SCCs, c)
-		}
-	}
-	diag.IntraSCCRemoved = g.RemoveIntraSCCEdges()
-	sp.End()
-	afterStep4 := g.NumEdges()
-	_ = afterSteps13
-
-	sp = tr.Start("mark")
-	marked, err := markRequired(ctx, g, work.Columnar())
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	sp.End()
-	diag.UnmarkedRemoved = afterStep4 - g.NumEdges()
-
-	sp = tr.Start("reduce")
-	if diag.Labeled {
-		g = MergeInstances(g)
-	}
-	sp.End()
 	diag.FinalEdges = g.NumEdges()
 	diag.Stages = tr.Stages()
 	return g, diag, nil
-}
-
-// thresholdForPair mirrors the adaptive rule without importing noise at the
-// call site twice; it simply delegates.
-func thresholdForPair(cooc int, eps float64) (int, error) {
-	return adaptiveThreshold(cooc, eps)
 }
 
 // WriteReport renders the stage funnel.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"procmine/internal/graph"
+	"procmine/internal/obs"
 	"procmine/internal/wlog"
 )
 
@@ -15,11 +16,16 @@ import (
 // fresh conformal graph can be materialized at any point without rescanning
 // past executions.
 //
-// The miner maintains the step-2 state incrementally — ordered-pair and
-// overlap support counts, the activity alphabet, and the set of distinct
-// activity-set signatures (what Algorithm 2's marking pass actually
-// consumes). Memory is O(n² + distinct signatures), independent of the
-// number of executions. Mine replays steps 3-7 on that state.
+// The miner maintains the step-2 state incrementally — ordered-pair,
+// overlap and co-occurrence support counts, the activity alphabet, and the
+// set of distinct activity-set signatures (what Algorithm 2's marking pass
+// actually consumes). Memory is O(n² + total size of the distinct
+// signatures). That is not independent of the number of executions: on
+// partial executions almost every execution can bring a new activity set
+// (a 20,000-execution, 100-activity service workload holds 16,079 distinct
+// signatures), so the signature store grows almost linearly with the
+// executions added. Mine runs steps 3-7 on that state through the same
+// count-to-graph pipeline as the batch miners.
 //
 // Every execution is stored in instance-labeled form (Algorithm 3), so
 // processes with cycles work transparently; for acyclic logs the labeled
@@ -29,13 +35,11 @@ import (
 // concurrent use.
 type IncrementalMiner struct {
 	activities map[string]bool
-	order      map[graph.Edge]int
-	overlap    map[graph.Edge]int
-	// cooc counts, per unordered pair (keyed From < To), the executions in
-	// which both activities appear — the m of the per-pair Section 6
-	// balance rule, so Mine can apply Options.AdaptiveEpsilon exactly as
-	// the batch path does.
-	cooc map[graph.Edge]int
+	// counts holds the step-2 pair counts over the labeled alphabet; its
+	// co-occurrence counts are the m of the per-pair Section 6 balance
+	// rule, so Mine can apply Options.AdaptiveEpsilon exactly as the batch
+	// path does.
+	counts pairCounts
 	// sigs maps an activity-set signature to the sorted labeled activity
 	// set; the marking pass needs each distinct set once.
 	sigs map[string][]string
@@ -54,9 +58,7 @@ func NewIncrementalMiner() *IncrementalMiner {
 func (im *IncrementalMiner) init() {
 	if im.activities == nil {
 		im.activities = make(map[string]bool)
-		im.order = make(map[graph.Edge]int)
-		im.overlap = make(map[graph.Edge]int)
-		im.cooc = make(map[graph.Edge]int)
+		im.counts = newPairCounts()
 		im.sigs = make(map[string][]string)
 	}
 }
@@ -102,62 +104,80 @@ func (im *IncrementalMiner) AddLog(l *wlog.Log) error {
 
 func (im *IncrementalMiner) addLabeled(exec wlog.Execution) {
 	im.executions++
-	steps := exec.Steps
-	seenOrder := map[graph.Edge]bool{}
-	seenOverlap := map[graph.Edge]bool{}
-	acts := map[string]bool{}
-	for i := range steps {
-		acts[steps[i].Activity] = true
-		im.activities[steps[i].Activity] = true
-		for j := range steps {
-			if i == j || steps[i].Activity == steps[j].Activity {
-				continue
-			}
-			switch {
-			case steps[i].Before(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if !seenOrder[e] {
-					seenOrder[e] = true
-					im.order[e]++
-				}
-			case i < j && steps[i].Overlaps(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if e.From > e.To {
-					e.From, e.To = e.To, e.From
-				}
-				if !seenOverlap[e] {
-					seenOverlap[e] = true
-					im.overlap[e]++
-				}
-			}
-		}
-	}
-	set := make([]string, 0, len(acts))
-	for a := range acts {
-		set = append(set, a)
-	}
-	sort.Strings(set)
-	// Per-pair co-occurrence: set is sorted, so From < To matches the
-	// batch scan's unordered keying.
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			im.cooc[graph.Edge{From: set[i], To: set[j]}]++
-		}
+	set := im.counts.add(exec)
+	for _, a := range set {
+		im.activities[a] = true
 	}
 	im.sigs[signature(set)] = set
 }
 
-// Mine materializes a conformal graph from the accumulated state: steps 3-5
-// (2-cycle and overlap cancellation, threshold, SCC removal) on the counts,
-// the marking pass over the distinct labeled activity sets, and the
-// instance merge of Algorithm 3.
+// Mine materializes a conformal graph from the accumulated state: Algorithm
+// 2 steps 3-6 on the counts and the distinct labeled activity sets, then
+// the instance merge of Algorithm 3.
 //
-// Thresholding — including the per-pair Options.AdaptiveEpsilon balance
-// rule — runs through the same assembleFollowsGraph used by the batch
+// Steps 3-6 — including the per-pair Options.AdaptiveEpsilon balance rule,
+// the Options.MaxActivities check on the labeled alphabet and the parallel
+// marking pass — run through the same mineCounts pipeline as the batch
 // miners, so mining a log incrementally and batch-mining the same log with
-// the same Options produce identical graphs (the parity property tests
-// gate this). Like the batch entry points it fails with ErrInvalidEpsilon
-// on an out-of-range AdaptiveEpsilon.
+// the same Options produce identical graphs (the parity and reference
+// oracle tests gate this). Like the batch entry points it fails with
+// ErrInvalidEpsilon on an out-of-range AdaptiveEpsilon.
 func (im *IncrementalMiner) Mine(opt Options) (*graph.Digraph, error) {
 	return im.MineContext(context.Background(), opt)
+}
+
+// MineContext is Mine with cancellation: ctx is checked before the
+// followings-graph assembly and before each signature set's reduction in
+// the marking pass, so a mine under a request deadline returns promptly.
+func (im *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*graph.Digraph, error) {
+	return im.MineTracedContext(ctx, opt, nil)
+}
+
+// MineTracedContext is MineContext with per-stage spans (assemble → scc →
+// mark → merge) recorded on tr; a nil trace is free. The service's /model
+// path uses it to feed the mine_stage_seconds histograms.
+func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, tr *obs.Trace) (*graph.Digraph, error) {
+	im.init()
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g, err := mineCounts(ctx, im.countInput(), opt, "assemble", tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	sp := tr.Start("merge")
+	g = MergeInstances(g)
+	sp.End()
+	return g, nil
+}
+
+// countInput lays the miner's state out as the pipeline's input: the
+// labeled alphabet sorted, and every signature rewritten once as ascending
+// indices into it, in one arena — the shape the batch marking kernel
+// sweeps. Signature members missing from the alphabet (possible only in a
+// hand-built snapshot) are dropped, as the marking pass would ignore them.
+func (im *IncrementalMiner) countInput() countInput {
+	labels := make([]string, 0, len(im.activities))
+	for a := range im.activities {
+		labels = append(labels, a)
+	}
+	sort.Strings(labels)
+	ids := make(map[string]int32, len(labels))
+	for i, a := range labels {
+		ids[a] = int32(i)
+	}
+	setOff := make([]int32, 1, len(im.sigs)+1)
+	var setIDs []int32
+	for _, set := range im.sigs {
+		for _, a := range set {
+			if id, ok := ids[a]; ok {
+				setIDs = append(setIDs, id)
+			}
+		}
+		setOff = append(setOff, int32(len(setIDs)))
+	}
+	return countInput{labels: labels, setIDs: setIDs, setOff: setOff, count: func() pairCounts { return im.counts }}
 }

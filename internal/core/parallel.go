@@ -33,28 +33,24 @@ import (
 // profitable at half the shard size the map merge needed.
 const scanShardMin = 32
 
-// parallelDenseAlphabetMax bounds the alphabet for which the parallel scan
-// runs dense shards: the five n×n int32 accumulators cost ~20·n² bytes
-// *per worker* (pooled, but resident while the pool is warm), so the dense
-// budget that is acceptable once (denseAlphabetMax) is not acceptable
-// multiplied by GOMAXPROCS. Alphabets in (parallelDenseAlphabetMax,
-// denseAlphabetMax] keep the sequential dense scan; beyond denseAlphabetMax
-// the map accumulator shards without a memory multiplier.
+// parallelDenseAlphabetMax bounds the alphabet for which the scan shards:
+// the five n×n int32 accumulators cost ~20·n² bytes *per worker* (pooled,
+// but resident while the pool is warm), so the dense budget that is
+// acceptable once (denseAlphabetMax) is not acceptable multiplied by
+// GOMAXPROCS. Larger alphabets scan sequentially: dense up to
+// denseAlphabetMax, with the map accumulator beyond.
 const parallelDenseAlphabetMax = 1024
 
 // scanWorkers picks the shard count for a log of m executions over an
 // n-activity alphabet: GOMAXPROCS, capped so every shard holds at least
 // scanShardMin executions, and 1 wherever sharding would not pay
-// (single-CPU, small logs, or the dense-memory gap described above).
+// (single-CPU, small logs, or alphabets past parallelDenseAlphabetMax).
 func scanWorkers(m, n int) int {
 	workers := runtime.GOMAXPROCS(0)
 	if max := m / scanShardMin; workers > max {
 		workers = max
 	}
-	if n > parallelDenseAlphabetMax && n <= denseAlphabetMax {
-		return 1
-	}
-	if workers < 2 {
+	if workers < 2 || n > parallelDenseAlphabetMax {
 		return 1
 	}
 	return workers
@@ -88,15 +84,17 @@ func shardBounds(m, workers int) []int {
 
 // ScanWorkersUsed reports how many workers FollowsCountsParallel actually
 // runs with for the given log and requested count: requests are clamped to
-// the execution count, and anything below two workers runs the sequential
-// kernel (reported as 1). The bench trajectory records this per ablation
+// the execution count, and anything below two workers — or any alphabet
+// past parallelDenseAlphabetMax — runs the sequential kernel (reported as
+// 1). The bench trajectory records this per ablation
 // row so a degenerate row — one that silently fell back to the sequential
 // scan — is distinguishable from a genuinely sharded measurement.
 func ScanWorkersUsed(l *wlog.Log, workers int) int {
-	if m := l.Columnar().NumExecutions(); workers > m {
+	col := l.Columnar()
+	if m := col.NumExecutions(); workers > m {
 		workers = m
 	}
-	if workers < 2 {
+	if workers < 2 || col.Alphabet() > parallelDenseAlphabetMax {
 		return 1
 	}
 	return workers
@@ -128,43 +126,6 @@ func scanShards(col *wlog.Columnar, workers int, tr *obs.Trace) *wlog.Counts {
 	for _, s := range shards[1:] {
 		out.AddFrom(s)
 		col.ReleaseCounts(s)
-	}
-	return out
-}
-
-// followsCountsMapParallel shards the map accumulator across workers
-// goroutines for alphabets past parallelDenseAlphabetMax, merging the
-// per-shard maps. Callers guarantee workers >= 2.
-func followsCountsMapParallel(l *wlog.Log, workers int) pairCounts {
-	bounds := shardBounds(len(l.Executions), workers)
-	shards := make([]pairCounts, len(bounds)-1)
-	var wg sync.WaitGroup
-	for w := range shards {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shards[w] = followsCountsMap(&wlog.Log{Executions: l.Executions[bounds[w]:bounds[w+1]]})
-		}(w)
-	}
-	wg.Wait()
-	return mergePairCounts(shards)
-}
-
-// mergePairCounts sums per-shard counts into the first shard's maps. Map
-// iteration order does not matter: every merge operation is a commutative
-// integer addition keyed by pair.
-func mergePairCounts(shards []pairCounts) pairCounts {
-	out := shards[0]
-	for _, s := range shards[1:] {
-		for e, c := range s.order {
-			out.order[e] += c
-		}
-		for e, c := range s.overlap {
-			out.overlap[e] += c
-		}
-		for e, c := range s.cooc {
-			out.cooc[e] += c
-		}
 	}
 	return out
 }

@@ -70,7 +70,7 @@ func TestScanWorkersGates(t *testing.T) {
 			{m: 640, n: 10, want: 8},   // full GOMAXPROCS fan-out
 			{m: 100, n: 10, want: 3},   // capped by scanShardMin per shard
 			{m: 640, n: 1500, want: 1}, // dense-memory gap: sequential dense
-			{m: 640, n: 3000, want: 8}, // past denseAlphabetMax: map shards
+			{m: 640, n: 3000, want: 1}, // past denseAlphabetMax: sequential map
 			{m: 63, n: 10, want: 1},    // one full shard is not sharding
 			{m: 64, n: 10, want: 2},    // exactly two shards
 		}
@@ -153,29 +153,6 @@ func TestFollowsCountsParallelMatchesOracle(t *testing.T) {
 				t.Fatalf("%s/w=%d: cooc counts differ from oracle", name, workers)
 			}
 		}
-	}
-}
-
-// TestFollowsCountsParallelMapShards forces the map-accumulator shard arm
-// (alphabet past parallelDenseAlphabetMax) and checks it against the oracle.
-func TestFollowsCountsParallelMapShards(t *testing.T) {
-	// 128 executions over a >1024-activity alphabet: each execution walks a
-	// distinct window of ten activities.
-	l := &wlog.Log{}
-	for i := 0; i < 128; i++ {
-		names := make([]string, 10)
-		for j := range names {
-			names[j] = "act" + itoa((i*9+j)%1100)
-		}
-		l.Executions = append(l.Executions, wlog.FromSequence("w"+itoa(i), names...))
-	}
-	if n := len(l.Activities()); n <= parallelDenseAlphabetMax {
-		t.Fatalf("fixture alphabet %d does not exceed parallelDenseAlphabetMax", n)
-	}
-	oracle := followsCountsMap(l)
-	got := followsCountsMapParallel(l, 4)
-	if !reflect.DeepEqual(got.order, oracle.order) || !reflect.DeepEqual(got.cooc, oracle.cooc) {
-		t.Fatal("map-sharded parallel scan differs from oracle")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"sort"
 
 	"procmine/internal/graph"
-	"procmine/internal/obs"
 )
 
 // Miner state export/import. The always-on serving layer (internal/serve)
@@ -81,9 +79,9 @@ func (im *IncrementalMiner) Snapshot() *MinerSnapshot {
 		Schema:     MinerSnapshotSchema,
 		Executions: im.executions,
 		Activities: make([]string, 0, len(im.activities)),
-		Order:      pairCountsOf(im.order),
-		Overlap:    pairCountsOf(im.overlap),
-		Cooc:       pairCountsOf(im.cooc),
+		Order:      pairCountsOf(im.counts.order),
+		Overlap:    pairCountsOf(im.counts.overlap),
+		Cooc:       pairCountsOf(im.counts.cooc),
 		Sigs:       make([][]string, 0, len(im.sigs)),
 	}
 	for a := range im.activities {
@@ -144,13 +142,13 @@ func (im *IncrementalMiner) RestoreSnapshot(s *MinerSnapshot) error {
 		im.activities[a] = true
 	}
 	for _, pc := range s.Order {
-		im.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.counts.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Overlap {
-		im.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.counts.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Cooc {
-		im.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.counts.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, set := range s.Sigs {
 		cp := make([]string, len(set))
@@ -181,77 +179,4 @@ func DecodeMinerSnapshot(r io.Reader) (*MinerSnapshot, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// MineContext is Mine with cancellation: ctx is checked before the
-// followings-graph assembly and before each signature set's reduction in
-// the marking pass, so a mine under a request deadline returns promptly.
-func (im *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*graph.Digraph, error) {
-	return im.MineTracedContext(ctx, opt, nil)
-}
-
-// MineTracedContext is MineContext with per-stage spans (assemble → scc →
-// mark → merge) recorded on tr; a nil trace is free. The service's /model
-// path uses it to feed the mine_stage_seconds histograms.
-func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, tr *obs.Trace) (*graph.Digraph, error) {
-	im.init()
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp := tr.Start("assemble")
-	acts := make([]string, 0, len(im.activities))
-	for a := range im.activities {
-		acts = append(acts, a)
-	}
-	sort.Strings(acts)
-	pc := pairCounts{order: im.order, overlap: im.overlap, cooc: im.cooc}
-	g, err := assembleFollowsGraph(acts, pc, opt)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	sp = tr.Start("scc")
-	g.RemoveIntraSCCEdges()
-	sp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp = tr.Start("mark")
-	sr, err := graph.NewSubsetReducer(g)
-	if err != nil {
-		return nil, fmt.Errorf("core: incremental marking: %w", err)
-	}
-	// The marking replays through the same dense MarkSubsetInto kernel the
-	// batch pipeline uses: one scratch and one pair bitset serve every
-	// signature, and the bitset union is order-independent, so iterating
-	// the signature map directly is deterministic.
-	n := sr.N()
-	sc := sr.NewMarkScratch()
-	markedBits := graph.NewBitset(n * n)
-	for _, set := range im.sigs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc.Members = sc.Members[:0]
-		for _, a := range set {
-			if i, ok := g.VertexIndex(a); ok {
-				sc.Members = append(sc.Members, i)
-			}
-		}
-		sr.MarkSubsetInto(sc.Members, sc, markedBits)
-	}
-	marked := markedToEdges(g, markedBits)
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	sp.End()
-	sp = tr.Start("merge")
-	g = MergeInstances(g)
-	sp.End()
-	return g, nil
 }

@@ -395,6 +395,25 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Aggregate.EventsDecoded != st.Intake.EventsDecoded || st.Intake.EventsDecoded == 0 {
 		t.Fatalf("aggregate/intake decode counts inconsistent: %+v", st)
 	}
+
+	// Shard rows carry no records_read: shards receive pushes, never read
+	// records, so the field could only ever report 0.
+	var raw struct {
+		Shards []map[string]json.RawMessage `json:"shards"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range raw.Shards {
+		if _, ok := row["records_read"]; ok {
+			t.Errorf("shard row %d carries records_read: %s", i, rec.Body.String())
+		}
+	}
+	// The aggregate's records are the decode stage's, as exported.
+	exp := do(t, s, http.MethodGet, "/metrics", "", "").Body.String()
+	if got := metricSum(t, exp, "procmined_decode_records_total"); st.Aggregate.RecordsRead == 0 || float64(st.Aggregate.RecordsRead) != got {
+		t.Errorf("aggregate.records_read = %d, procmined_decode_records_total = %v", st.Aggregate.RecordsRead, got)
+	}
 }
 
 // TestResponseContentTypes pins the Content-Type of every response shape

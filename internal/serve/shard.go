@@ -62,21 +62,17 @@ func newShard(id int, cfg Config, met *shardMetrics, watch breakerWatcher) *shar
 // counterView is the order-insensitive slice of an IngestReport used for
 // per-request deltas.
 type counterView struct {
-	read, decoded, skipped, dropped, quarantined int
-	errs                                         map[wlog.ErrorClass]int
-	quarantinedIDs                               int
+	skipped, dropped, quarantined int
+	errs                          map[wlog.ErrorClass]int
 }
 
 // countersOf snapshots a report's counters.
 func countersOf(rep *wlog.IngestReport) counterView {
 	v := counterView{
-		read:           rep.RecordsRead,
-		decoded:        rep.EventsDecoded,
-		skipped:        rep.RecordsSkipped,
-		dropped:        rep.StepsDropped,
-		quarantined:    rep.ExecutionsQuarantined,
-		quarantinedIDs: len(rep.QuarantinedIDs),
-		errs:           make(map[wlog.ErrorClass]int, len(rep.Errors)),
+		skipped:     rep.RecordsSkipped,
+		dropped:     rep.StepsDropped,
+		quarantined: rep.ExecutionsQuarantined,
+		errs:        make(map[wlog.ErrorClass]int, len(rep.Errors)),
 	}
 	for c, n := range rep.Errors {
 		v.errs[c] = n
@@ -233,13 +229,15 @@ func (sh *shard) drain() error {
 	return sh.stream.Close()
 }
 
-// ShardStats is one shard's row in the /stats response.
+// ShardStats is one shard's row in the /stats response. It has no records
+// count: records are read by the decode stage before partitioning, so the
+// server-wide figure is StatsResponse.Aggregate.RecordsRead, and the
+// per-shard count of pushed records is procmined_ingest_records_total.
 type ShardStats struct {
 	Shard       int            `json:"shard"`
 	Executions  int            `json:"executions"`
 	Open        int            `json:"open"`
 	Breaker     BreakerStatus  `json:"breaker"`
-	Records     int            `json:"records_read"`
 	Skipped     int            `json:"records_skipped,omitempty"`
 	Quarantined int            `json:"executions_quarantined,omitempty"`
 	Errors      map[string]int `json:"errors,omitempty"`
@@ -254,7 +252,6 @@ func (sh *shard) stats() ShardStats {
 		Executions:  sh.miner.Executions(),
 		Open:        sh.stream.OpenExecutions(),
 		Breaker:     sh.brk.status(sh.clock.Now()),
-		Records:     sh.rep.RecordsRead,
 		Skipped:     sh.rep.RecordsSkipped,
 		Quarantined: sh.rep.ExecutionsQuarantined,
 	}
