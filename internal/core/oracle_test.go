@@ -13,8 +13,12 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strings"
@@ -25,6 +29,7 @@ import (
 	"procmine/internal/core"
 	"procmine/internal/graph"
 	"procmine/internal/noise"
+	"procmine/internal/serve"
 	"procmine/internal/synth"
 	"procmine/internal/wlog"
 )
@@ -383,4 +388,97 @@ func FuzzMine(f *testing.F) {
 			t.Errorf("IncrementalMiner differs from the reference oracle\ngot:  %s\nwant: %s", got, want)
 		}
 	})
+}
+
+// shardOf routes a process-instance ID the way serve.Server does: an FNV-1a
+// hash of the ID modulo the shard count.
+func shardOf(pid string, shards int) int {
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(pid)) // writing to a hash never fails
+	return int(h.Sum32() % uint32(shards))
+}
+
+// servedGraph fetches GET target from s and rebuilds the JSON model.
+func servedGraph(t *testing.T, s *serve.Server, target string) (*graph.Digraph, int) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", target, rec.Code, rec.Body.String())
+	}
+	var resp struct {
+		Executions int
+		Activities []string
+		Edges      []graph.Edge
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decoding %s: %v", target, err)
+	}
+	g := graph.New()
+	for _, v := range resp.Activities {
+		g.AddVertex(v)
+	}
+	for _, e := range resp.Edges {
+		g.AddEdge(e.From, e.To)
+	}
+	return g, resp.Executions
+}
+
+// TestReferenceOracleServe is the service arm of the oracle: each parity
+// fixture, ingested over HTTP into an in-process serve.Server at several
+// shard counts, is served as the oracle graph for the default and the
+// explicit all-shard scope. Each shard's /model equals a miner fed the
+// executions the server routed to it, and those per-shard miners merged
+// into one equal the oracle too.
+func TestReferenceOracleServe(t *testing.T) {
+	for name, l := range core.ParityLogs(t) {
+		want := graphKey(referenceMine(t, l, core.Options{}))
+		var body bytes.Buffer
+		if err := wlog.WriteText(&body, l.Events()); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3, 4} {
+			s, err := serve.New(serve.Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest?format=text", bytes.NewReader(body.Bytes())))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s/shards=%d: POST /ingest = %d: %s", name, shards, rec.Code, rec.Body.String())
+			}
+			for _, target := range []string{"/model?format=json", "/model?format=json&shard=all"} {
+				g, execs := servedGraph(t, s, target)
+				if got := graphKey(g); got != want || execs != len(l.Executions) {
+					t.Errorf("%s/shards=%d: GET %s serves %d executions, %s\nwant %d executions, %s",
+						name, shards, target, execs, got, len(l.Executions), want)
+				}
+			}
+
+			parts := make([]*core.IncrementalMiner, shards)
+			for i := range parts {
+				parts[i] = core.NewIncrementalMiner()
+			}
+			for _, e := range l.Executions {
+				if err := parts[shardOf(e.ID, shards)].Add(e); err != nil {
+					t.Fatalf("IncrementalMiner.Add: %v", err)
+				}
+			}
+			merged := core.NewIncrementalMiner()
+			for i, p := range parts {
+				g, execs := servedGraph(t, s, fmt.Sprintf("/model?format=json&shard=%d", i))
+				if got, wantShard := graphKey(g), graphKey(mineIncremental(t, p, core.Options{})); got != wantShard || execs != p.Executions() {
+					t.Errorf("%s/shards=%d: shard %d serves %d executions, %s\nwant %d executions, %s",
+						name, shards, i, execs, got, p.Executions(), wantShard)
+				}
+				if err := merged.RestoreSnapshot(p.Snapshot()); err != nil {
+					t.Fatalf("RestoreSnapshot: %v", err)
+				}
+			}
+			if got := graphKey(mineIncremental(t, merged, core.Options{})); got != want {
+				t.Errorf("%s/shards=%d: merged shard miners differ from the reference oracle\ngot:  %s\nwant: %s",
+					name, shards, got, want)
+			}
+		}
+	}
 }

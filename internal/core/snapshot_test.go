@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -228,5 +230,79 @@ func TestIncrementalMineContext(t *testing.T) {
 	}
 	if g.Dot("x") != want.Dot("x") {
 		t.Error("MineContext result differs from Mine")
+	}
+}
+
+// snapshotFixture is a procmine-miner-snapshot/v1 file: the state of an
+// IncrementalMiner after adding parityLogs' cyclic fixture. Regenerate it
+// with -update-snapshot-fixture only for a deliberate format change.
+const snapshotFixture = "testdata/miner-snapshot-v1.json"
+
+var updateSnapshotFixture = flag.Bool("update-snapshot-fixture", false, "rewrite "+snapshotFixture)
+
+// snapshotFixtureDot is the graph mined from snapshotFixture with zero
+// options.
+const snapshotFixtureDot = `digraph fixture {
+  B;
+  C;
+  D;
+  END;
+  START;
+  B -> C;
+  B -> END;
+  C -> B;
+  C -> END;
+  D -> B;
+  D -> END;
+  START -> B;
+  START -> D;
+}
+`
+
+// TestSnapshotV1Fixture pins the v1 wire format: the committed fixture
+// decodes and restores, re-encodes to the same bytes, equals the encoded
+// state of adding the same log afresh, and mines the committed graph.
+func TestSnapshotV1Fixture(t *testing.T) {
+	fresh := NewIncrementalMiner()
+	if err := fresh.AddLog(parityLogs(t)["cyclic"]); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := fresh.Snapshot().Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if *updateSnapshotFixture {
+		if err := os.WriteFile(snapshotFixture, want.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(snapshotFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Errorf("adding the cyclic fixture log encodes differently from %s", snapshotFixture)
+	}
+	snap, err := DecodeMinerSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("DecodeMinerSnapshot: %v", err)
+	}
+	im := NewIncrementalMiner()
+	if err := im.RestoreSnapshot(snap); err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	var got bytes.Buffer
+	if err := im.Snapshot().Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), data) {
+		t.Errorf("restore then encode differs from %s:\n%s", snapshotFixture, got.String())
+	}
+	g, err := im.Mine(Options{})
+	if err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+	if dot := g.Dot("fixture"); dot != snapshotFixtureDot {
+		t.Errorf("fixture mines\n%s\nwant\n%s", dot, snapshotFixtureDot)
 	}
 }
