@@ -70,12 +70,8 @@ func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The follows scan waits on a fixed fan-out of CPU-bound workers that
-	// always terminate; cancellation is honored at the phase boundaries
-	// around it, and pushing ctx into the scan itself is the columnar-scan
-	// refactor tracked in ROADMAP.md.
 	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
-	g, err := buildFollowsGraph(l, opt)
+	g, err := FollowsGraph(l, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -142,13 +138,17 @@ func mineLog(ctx context.Context, l *wlog.Log, opt Options, label bool, tr *obs.
 	if diag != nil {
 		diag.Activities = col.Alphabet()
 	}
-	setIDs, setOff := col.DistinctSets()
-	in := countInput{labels: col.Labels(), setIDs: setIDs, setOff: setOff, count: func() pairCounts {
-		sp := tr.Start("scan")
-		defer sp.End()
-		return scanCountsTraced(work, tr)
-	}}
-	g, err := mineCounts(ctx, in, opt, "threshold", tr, diag)
+	if err := checkAlphabet(col.Alphabet(), opt); err != nil {
+		if label {
+			return nil, fmt.Errorf("core: mining labeled log: %w", err)
+		}
+		return nil, err
+	}
+	sp = tr.Start("scan")
+	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
+	st := scanState(work, tr)
+	sp.End()
+	g, err := mineCounts(ctx, st, opt, "threshold", tr, diag)
 	if err != nil {
 		if label {
 			return nil, fmt.Errorf("core: mining labeled log: %w", err)

@@ -100,57 +100,56 @@ var ErrNotSpecialForm = errors.New("core: log is not in special form (every acti
 // or MineCyclic.
 var ErrCyclicFollows = errors.New("core: followings graph is cyclic; use MineGeneralDAG or MineCyclic")
 
-// pairCounts is the result of the step-2 log scan: per-execution support
-// counts for ordered "u terminates before v starts" pairs, and for unordered
-// overlapping pairs (which witness independence directly, per Section 2:
-// "if there are two activities in the log that overlap in time, then they
-// must be independent activities").
-type pairCounts struct {
-	order   map[graph.Edge]int // ordered pair support
-	overlap map[graph.Edge]int // unordered (From < To) overlap support
-	cooc    map[graph.Edge]int // unordered (From < To) co-occurrence count
-}
-
-// denseAlphabetMax bounds the activity alphabet for which the dense n×n
-// accumulator is used; beyond it the n² int32 matrices (~20·n² bytes in
-// total) stop being worth their memory and the map path takes over. The
-// ablation benchmark measures the dense path several times faster on the
-// Table 1 workloads, where the O(len²·m) pair scan dominates mining.
+// denseAlphabetMax bounds the activity alphabet for which the step-2 scan
+// accumulates into dense n×n scratch matrices; beyond it the n² int32
+// matrices (~20·n² bytes in total) stop being worth their memory and the
+// per-execution fold takes over. The ablation benchmark measures the dense
+// path several times faster on the Table 1 workloads, where the O(len²·m)
+// pair scan dominates mining.
 const denseAlphabetMax = 2048
 
-// scanCounts runs the step-2 scan (shared by every algorithm): the
-// columnar followsCounts kernel over pooled dense matrices for alphabets
-// up to denseAlphabetMax — sharded across scanWorkers goroutines when the
-// log is large enough — and the sequential map accumulator beyond. The
-// dense counts are converted to the pairCounts map form exactly once, at
-// the end, so every downstream consumer (threshold rules, diagnostics,
-// Support) reads one representation regardless of the path taken.
-func scanCounts(l *wlog.Log) pairCounts {
-	return scanCountsTraced(l, nil)
+// scanState runs the step-2 scan (shared by every algorithm) with the
+// worker count scanWorkers picks for the log.
+func scanState(l *wlog.Log, tr *obs.Trace) *state {
+	col := l.Columnar()
+	return scanWith(l, scanWorkers(col.NumExecutions(), col.Alphabet()), tr)
 }
 
-// scanCountsTraced is scanCounts with per-worker stage spans recorded on tr
-// (nil disables tracing at zero cost — the trace plumbing lives entirely in
-// orchestration code, never in the hot kernel).
-func scanCountsTraced(l *wlog.Log, tr *obs.Trace) pairCounts {
+// scanWith scans l into a state holding its columnar alphabet and distinct
+// sets: the dense followsCounts kernel over pooled scratch matrices up to
+// denseAlphabetMax, sharded when workers > 1 and converted into the state
+// once, and the per-execution fold beyond. Per-worker "scan/workerN" spans
+// are recorded on tr, which may be nil.
+func scanWith(l *wlog.Log, workers int, tr *obs.Trace) *state {
 	col := l.Columnar()
-	n := col.Alphabet()
-	if n > denseAlphabetMax {
-		return followsCountsMap(l)
+	setIDs, setOff := col.DistinctSets()
+	st := &state{labels: col.Labels(), setIDs: setIDs, setOff: setOff}
+	if col.Alphabet() > denseAlphabetMax {
+		st.foldLog(l)
+		return st
 	}
-	m := col.NumExecutions()
 	var cs *wlog.Counts
-	if w := scanWorkers(m, n); w > 1 {
-		cs = scanShards(col, w, tr)
+	if workers > 1 {
+		cs = scanShards(col, workers, tr)
 	} else {
 		sp := tr.Start("scan/worker0")
 		cs = col.AcquireCounts()
-		followsCounts(col, cs, 0, m)
+		followsCounts(col, cs, 0, col.NumExecutions())
 		sp.End()
 	}
-	pc := countsToPairs(col, cs)
+	st.addDense(cs)
 	col.ReleaseCounts(cs)
-	return pc
+	return st
+}
+
+// foldLog folds every execution of l into s, which must hold l's columnar
+// alphabet and no counts.
+func (s *state) foldLog(l *wlog.Log) {
+	s.pairIdx = map[uint64]int32{}
+	acts, off := l.Columnar().StepActs(), l.Columnar().ExecBounds()
+	for e, exec := range l.Executions {
+		s.fold(acts[off[e]:off[e+1]], exec.Steps)
+	}
 }
 
 // followsCounts is the step-2 scan kernel: it accumulates, for every
@@ -229,104 +228,8 @@ func followsCounts(col *wlog.Columnar, cs *wlog.Counts, lo, hi int) {
 	}
 }
 
-// countsToPairs converts the dense interner-ID matrices to the pairCounts
-// map form the assembly and diagnostics stages consume. It runs once per
-// scan, outside the hot kernel.
-func countsToPairs(col *wlog.Columnar, cs *wlog.Counts) pairCounts {
-	labels := col.Labels()
-	n := cs.N
-	pc := newPairCounts()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			cell := u*n + v
-			if c := cs.Order[cell]; c > 0 {
-				pc.order[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
-			}
-			if u < v {
-				if c := cs.Overlap[cell]; c > 0 {
-					pc.overlap[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
-				}
-				if c := cs.Cooc[cell]; c > 0 {
-					pc.cooc[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
-				}
-			}
-		}
-	}
-	return pc
-}
-
-// newPairCounts returns empty count maps.
-func newPairCounts() pairCounts {
-	return pairCounts{
-		order:   make(map[graph.Edge]int),
-		overlap: make(map[graph.Edge]int),
-		cooc:    make(map[graph.Edge]int),
-	}
-}
-
-// followsCountsMap is the hash-map accumulator, retained for very large
-// alphabets where dense matrices would dominate memory (and as the oracle
-// the columnar kernel is property-tested against). FollowsCountsMap exposes
-// it for the ablation benchmark.
-func followsCountsMap(l *wlog.Log) pairCounts {
-	pc := newPairCounts()
-	for _, exec := range l.Executions {
-		pc.add(exec)
-	}
-	return pc
-}
-
-// add accumulates one execution's step-2 counts into pc and returns the
-// execution's sorted distinct activity set. It is the per-execution body of
-// the map accumulator, and the fold IncrementalMiner.Add runs.
-func (pc pairCounts) add(exec wlog.Execution) []string {
-	seenOrder := make(map[graph.Edge]bool)
-	seenOverlap := make(map[graph.Edge]bool)
-	acts := exec.ActivitySet()
-	for i := 0; i < len(acts); i++ {
-		for j := i + 1; j < len(acts); j++ {
-			pc.cooc[graph.Edge{From: acts[i], To: acts[j]}]++
-		}
-	}
-	steps := exec.Steps
-	for i := range steps {
-		for j := range steps {
-			if i == j || steps[i].Activity == steps[j].Activity {
-				continue
-			}
-			switch {
-			case steps[i].Before(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if !seenOrder[e] {
-					seenOrder[e] = true
-					pc.order[e]++
-				}
-			case i < j && steps[i].Overlaps(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if e.From > e.To {
-					e.From, e.To = e.To, e.From
-				}
-				if !seenOverlap[e] {
-					seenOverlap[e] = true
-					pc.overlap[e]++
-				}
-			}
-		}
-	}
-	return acts
-}
-
-// buildFollowsGraph performs steps 1-3 on a log: the step-2 scan, then
-// assembleFollowsGraph.
-func buildFollowsGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	return assembleFollowsGraph(l.Columnar().Labels(), scanCounts(l), opt, nil)
-}
-
-// assembleFollowsGraph performs steps 1-3 shared by all algorithms on
-// precomputed pair counts: add the pairwise-order edges that meet the noise
+// assembleFollowsGraph performs steps 1-3 shared by all algorithms on a
+// state's pair counts: add the pairwise-order edges that meet the noise
 // threshold, and delete edges that appear in both directions (2-cycles).
 // The vertex set is every activity of the alphabet, so activities that
 // never participate in an ordered pair still become vertices. It is the
@@ -339,73 +242,52 @@ func buildFollowsGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
 // Definition 3 a following requires the order to hold in *each* execution
 // where both appear, and an overlap breaks that. Overlap observations below
 // the noise threshold are ignored, symmetrically with order observations.
-func assembleFollowsGraph(activities []string, pc pairCounts, opt Options, diag *Diagnostics) (*graph.Digraph, error) {
+func assembleFollowsGraph(st *state, opt Options, diag *Diagnostics) (*graph.Digraph, error) {
 	g := graph.New()
-	for _, a := range activities {
+	for _, a := range st.labels {
 		g.AddVertex(a)
 	}
-	adaptive := opt.adaptiveEnabled()
-	threshold := func(e graph.Edge) (int, error) {
-		if !adaptive {
-			return opt.MinSupport, nil
-		}
-		key := e
-		if key.From > key.To {
-			key.From, key.To = key.To, key.From
-		}
-		cooc := pc.cooc[key]
-		if cooc <= 0 {
+	var ordered, below, twoCycle, overlap int
+	for _, p := range st.pairs {
+		from, to := st.labels[p.u], st.labels[p.v]
+		t := opt.MinSupport
+		if opt.adaptiveEnabled() {
 			// An observed pair co-occurs at least once, so a missing count
 			// can only accompany a zero observation; threshold 1 filters it.
-			return 1, nil
+			t = 1
+			if cooc := p.n[coocGroup]; cooc > 0 {
+				var err error
+				if t, err = noise.ThresholdFor(cooc, opt.AdaptiveEpsilon); err != nil {
+					return nil, fmt.Errorf("core: adaptive threshold for %s-%s: %w", from, to, err)
+				}
+			}
 		}
-		t, err := noise.ThresholdFor(cooc, opt.AdaptiveEpsilon)
-		if err != nil {
-			return 0, fmt.Errorf("core: adaptive threshold for %v: %w", e, err)
+		fwdN, backN := p.n[orderGroup], p.n[backOrder]
+		for _, c := range [2]int{fwdN, backN} {
+			if c > 0 {
+				ordered++
+				if c < t {
+					below++
+				}
+			}
 		}
-		return t, nil
-	}
-	var below, twoCycle, overlap int
-	for e, c := range pc.order {
-		t, err := threshold(e)
-		if err != nil {
-			return nil, err
-		}
-		if c < t {
-			below++
-			continue
-		}
-		g.AddEdge(e.From, e.To)
-	}
-	// Step 3: remove edges present in both directions, and edges between
-	// pairs observed overlapping (with at least threshold support).
-	for _, e := range g.Edges() {
-		if e.From < e.To && g.HasEdge(e.To, e.From) {
-			g.RemoveEdge(e.From, e.To)
-			g.RemoveEdge(e.To, e.From)
+		fwd, back := fwdN > 0 && fwdN >= t, backN > 0 && backN >= t
+		switch {
+		case fwd && back:
+			// Step 3: remove edges present in both directions, and edges
+			// between pairs observed overlapping (with at least threshold
+			// support).
 			twoCycle += 2
-		}
-	}
-	for e, c := range pc.overlap {
-		min, err := threshold(e)
-		if err != nil {
-			return nil, err
-		}
-		if min < 1 {
-			min = 1
-		}
-		if c < min {
-			continue
-		}
-		if g.RemoveEdge(e.From, e.To) {
+		case (fwd || back) && p.n[overlapGroup] >= max(t, 1):
 			overlap++
-		}
-		if g.RemoveEdge(e.To, e.From) {
-			overlap++
+		case fwd:
+			g.AddEdge(from, to)
+		case back:
+			g.AddEdge(to, from)
 		}
 	}
 	if diag != nil {
-		diag.OrderedPairs = len(pc.order)
+		diag.OrderedPairs = ordered
 		diag.BelowThreshold, diag.TwoCycleRemoved, diag.OverlapRemoved = below, twoCycle, overlap
 	}
 	return g, nil
@@ -418,21 +300,24 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options, diag 
 // are exactly the "followings" of Definition 3. It fails with
 // ErrInvalidEpsilon when opt carries an out-of-range AdaptiveEpsilon.
 func FollowsGraph(l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	return buildFollowsGraph(l, opt)
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	return assembleFollowsGraph(scanState(l, nil), opt, nil)
 }
 
 // FollowsCounts returns the raw support count for every ordered activity
 // pair: the number of executions in which the first activity terminates
 // before the second starts. Useful for inspecting noise (Section 6).
 func FollowsCounts(l *wlog.Log) map[graph.Edge]int {
-	return scanCounts(l).order
+	return scanState(l, nil).labeledCounts()[orderGroup]
 }
 
 // OverlapCounts returns, for every unordered activity pair (keyed with
 // From < To), the number of executions in which instances of the two
 // activities overlapped in time — direct evidence of independence.
 func OverlapCounts(l *wlog.Log) map[graph.Edge]int {
-	return scanCounts(l).overlap
+	return scanState(l, nil).labeledCounts()[overlapGroup]
 }
 
 // specialFormError checks the Algorithm 1 precondition and describes the
@@ -457,29 +342,23 @@ func specialFormError(l *wlog.Log) error {
 	return nil
 }
 
-// FollowsCountsMap returns the ordered-pair support counts computed with
-// the hash-map accumulator — the baseline the dense columnar kernel is
-// benchmarked against (see bench_test.go's ablations) and the oracle the
-// parallel scan is checked against.
+// FollowsCountsMap returns the ordered-pair support counts computed by the
+// per-execution fold over interned IDs — the accumulator used past
+// denseAlphabetMax and by IncrementalMiner, and the baseline the dense
+// columnar kernel is benchmarked against (see bench_test.go's ablations).
 func FollowsCountsMap(l *wlog.Log) map[graph.Edge]int {
-	return followsCountsMap(l).order
+	st := &state{labels: l.Columnar().Labels()}
+	st.foldLog(l)
+	return st.labeledCounts()[orderGroup]
 }
 
 // FollowsCountsSequential returns the ordered-pair support counts computed
 // by the single-threaded production path (the columnar dense kernel, or the
-// map accumulator past denseAlphabetMax, without sharding) — the baseline
-// of the parallel-scan ablation recorded in the bench trajectory
+// fold past denseAlphabetMax, without sharding) — the baseline of the
+// parallel-scan ablation recorded in the bench trajectory
 // (cmd/benchreport).
 func FollowsCountsSequential(l *wlog.Log) map[graph.Edge]int {
-	col := l.Columnar()
-	if col.Alphabet() > denseAlphabetMax {
-		return followsCountsMap(l).order
-	}
-	cs := col.AcquireCounts()
-	followsCounts(col, cs, 0, col.NumExecutions())
-	pc := countsToPairs(col, cs)
-	col.ReleaseCounts(cs)
-	return pc.order
+	return FollowsCountsParallel(l, 1)
 }
 
 // FollowsCountsParallel returns the ordered-pair support counts computed by
@@ -490,13 +369,5 @@ func FollowsCountsSequential(l *wlog.Log) map[graph.Edge]int {
 // sequential accumulator (see ScanWorkersUsed). The result is
 // identical to FollowsCountsSequential's for every log and worker count.
 func FollowsCountsParallel(l *wlog.Log, workers int) map[graph.Edge]int {
-	workers = ScanWorkersUsed(l, workers)
-	if workers < 2 {
-		return FollowsCountsSequential(l)
-	}
-	col := l.Columnar()
-	cs := scanShards(col, workers, nil)
-	pc := countsToPairs(col, cs)
-	col.ReleaseCounts(cs)
-	return pc.order
+	return scanWith(l, ScanWorkersUsed(l, workers), nil).labeledCounts()[orderGroup]
 }

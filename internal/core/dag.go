@@ -47,36 +47,19 @@ func MineGeneralDAG(l *wlog.Log, opt Options) (*graph.Digraph, error) {
 	return MineGeneralDAGContext(context.Background(), l, opt)
 }
 
-// countInput is what the count-to-graph pipeline consumes: the sorted
-// activity alphabet, the step-2 pair counts over it, and the arena of
-// distinct activity sets as ascending indices into labels (set s is
-// setIDs[setOff[s]:setOff[s+1]]). count is called only once the alphabet has
-// passed Options.MaxActivities, so an over-limit batch log fails before the
-// scan allocates its O(n²) accumulators.
-type countInput struct {
-	labels         []string
-	count          func() pairCounts
-	setIDs, setOff []int32
-}
-
 // mineCounts is the one implementation of Algorithm 2 steps 3-6, shared by
-// the batch miners, MineWithDiagnostics and IncrementalMiner: the
-// Options.MaxActivities check, threshold with 2-cycle and overlap
-// cancellation (the stage named first), intra-SCC edge removal ("scc"), and
-// the marking pass with removal of unmarked edges ("mark"). Stages are
-// recorded on tr and the funnel counts on diag; both may be nil. ctx is
-// checked between stages and per distinct set inside the marking pass.
-// Options must have been validated by the caller.
-func mineCounts(ctx context.Context, in countInput, opt Options, first string, tr *obs.Trace, diag *Diagnostics) (*graph.Digraph, error) {
-	if err := checkAlphabet(len(in.labels), opt); err != nil {
-		return nil, err
-	}
-	pc := in.count()
+// the batch miners, MineWithDiagnostics and IncrementalMiner: threshold
+// with 2-cycle and overlap cancellation (the stage named first), intra-SCC
+// edge removal ("scc"), and the marking pass with removal of unmarked
+// edges ("mark"). Stages go on tr and the funnel on diag; both may be nil.
+// ctx is checked before each stage and per distinct set. The caller has
+// checked opt and, against Options.MaxActivities, the alphabet.
+func mineCounts(ctx context.Context, st *state, opt Options, first string, tr *obs.Trace, diag *Diagnostics) (*graph.Digraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := tr.Start(first)
-	g, err := assembleFollowsGraph(in.labels, pc, opt, diag)
+	g, err := assembleFollowsGraph(st, opt, diag)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -97,7 +80,7 @@ func mineCounts(ctx context.Context, in countInput, opt Options, first string, t
 	}
 
 	sp = tr.Start("mark")
-	marked, err := markRequired(ctx, g, in.labels, in.setIDs, in.setOff)
+	marked, err := markRequired(ctx, g, st.labels, st.setIDs, st.setOff)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +104,7 @@ func mineCounts(ctx context.Context, in countInput, opt Options, first string, t
 // set, the transitive reduction of the dependency graph's induced subgraph
 // is the minimal edge set that keeps the graph consistent with the
 // executions over that set; all such edges are marked. The sets come as an
-// arena of ascending indices into labels (see countInput), so the pass runs
+// arena of indices into labels (see state), so the pass runs
 // the markRequiredEdges kernel over ranges of it: the graph's topological
 // order and dense adjacency are computed once (graph.SubsetReducer) and
 // each worker sweeps its range with a private scratch into a private pair
@@ -256,20 +239,6 @@ func markedToEdges(g *graph.Digraph, marked *graph.Bitset) map[graph.Edge]bool {
 		out[graph.Edge{From: g.VertexLabel(cell / n), To: g.VertexLabel(cell % n)}] = true
 	}
 	return out
-}
-
-// signature builds a cache key from a sorted activity set.
-func signature(sorted []string) string {
-	n := 0
-	for _, s := range sorted {
-		n += len(s) + 1
-	}
-	b := make([]byte, 0, n)
-	for _, s := range sorted {
-		b = append(b, s...)
-		b = append(b, 0)
-	}
-	return string(b)
 }
 
 // MarkRequiredEdges exposes the Algorithm 2 step-5 marking pass for

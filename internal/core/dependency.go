@@ -18,7 +18,7 @@ type DependencyRelation struct {
 // ComputeDependencies evaluates Definitions 3-5 on the log. It fails with
 // ErrInvalidEpsilon when opt carries an out-of-range AdaptiveEpsilon.
 func ComputeDependencies(l *wlog.Log, opt Options) (*DependencyRelation, error) {
-	f, err := buildFollowsGraph(l, opt)
+	f, err := FollowsGraph(l, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -249,8 +249,9 @@ func TestFollowsGraphIncludesIsolatedActivities(t *testing.T) {
 }
 
 // TestColumnarCountsMatchMapOracle is the scan-parity property: the
-// columnar dense kernel (through the production scanCounts dispatcher) must
-// reproduce the map accumulator byte-for-byte on all three count families —
+// columnar dense kernel (through the production scanCounts dispatcher) and
+// the per-execution fold over interned IDs must each reproduce the map
+// accumulator byte-for-byte on all three count families —
 // order, overlap, co-occurrence — across fixtures with overlaps, repeats,
 // and empty logs, and across a Table-1-style synthetic grid of graph and
 // log sizes.
@@ -273,17 +274,25 @@ func TestColumnarCountsMatchMapOracle(t *testing.T) {
 			logs[fmt.Sprintf("synth_n%d_m%d", n, m)] = scanLog(t, n, m)
 		}
 	}
+	// Past denseAlphabetMax the production scan folds per execution.
+	wide := &wlog.Log{}
+	for i := 0; i <= denseAlphabetMax; i++ {
+		wide.Executions = append(wide.Executions, wlog.FromSequence(fmt.Sprintf("w%d", i),
+			fmt.Sprintf("a%04d", i), fmt.Sprintf("a%04d", (i*7+1)%(denseAlphabetMax+1)), "end"))
+	}
+	logs["wide"] = wide
 	for name, l := range logs {
-		d := scanCounts(l)
 		m := followsCountsMap(l)
-		if !reflect.DeepEqual(d.order, m.order) {
-			t.Fatalf("%s: order counts differ:\ncolumnar %v\nmap      %v", name, d.order, m.order)
-		}
-		if !reflect.DeepEqual(d.overlap, m.overlap) {
-			t.Fatalf("%s: overlap counts differ:\ncolumnar %v\nmap      %v", name, d.overlap, m.overlap)
-		}
-		if !reflect.DeepEqual(d.cooc, m.cooc) {
-			t.Fatalf("%s: cooc counts differ:\ncolumnar %v\nmap      %v", name, d.cooc, m.cooc)
+		for path, d := range map[string]pairCounts{"columnar": scanCounts(l), "fold": foldCounts(l)} {
+			if !reflect.DeepEqual(d.order, m.order) {
+				t.Fatalf("%s: order counts differ:\n%s %v\nmap      %v", name, path, d.order, m.order)
+			}
+			if !reflect.DeepEqual(d.overlap, m.overlap) {
+				t.Fatalf("%s: overlap counts differ:\n%s %v\nmap      %v", name, path, d.overlap, m.overlap)
+			}
+			if !reflect.DeepEqual(d.cooc, m.cooc) {
+				t.Fatalf("%s: cooc counts differ:\n%s %v\nmap      %v", name, path, d.cooc, m.cooc)
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"procmine/internal/graph"
 	"procmine/internal/obs"
@@ -16,16 +16,14 @@ import (
 // fresh conformal graph can be materialized at any point without rescanning
 // past executions.
 //
-// The miner maintains the step-2 state incrementally — ordered-pair,
-// overlap and co-occurrence support counts, the activity alphabet, and the
-// set of distinct activity-set signatures (what Algorithm 2's marking pass
-// actually consumes). Memory is O(n² + total size of the distinct
-// signatures). That is not independent of the number of executions: on
-// partial executions almost every execution can bring a new activity set
-// (a 20,000-execution, 100-activity service workload holds 16,079 distinct
-// signatures), so the signature store grows almost linearly with the
-// executions added. Mine runs steps 3-7 on that state through the same
-// count-to-graph pipeline as the batch miners.
+// The miner holds the interned state the batch miners build: the labeled
+// alphabet, ordered-pair, overlap and co-occurrence counts keyed by
+// activity-ID pair, and an arena of the distinct activity sets the marking
+// pass consumes. Add folds each execution into it; AddFrom merges another
+// miner's. Memory is O(n² + total size of the distinct sets), which grows
+// almost linearly with the executions added on partial executions (a
+// 20,000-execution, 100-activity service workload holds 16,079 distinct
+// sets). Mine runs steps 3-7 on the state through the batch pipeline.
 //
 // Every execution is stored in instance-labeled form (Algorithm 3), so
 // processes with cycles work transparently; for acyclic logs the labeled
@@ -34,33 +32,14 @@ import (
 // The zero value is ready to use. IncrementalMiner is not safe for
 // concurrent use.
 type IncrementalMiner struct {
-	activities map[string]bool
-	// counts holds the step-2 pair counts over the labeled alphabet; its
-	// co-occurrence counts are the m of the per-pair Section 6 balance
-	// rule, so Mine can apply Options.AdaptiveEpsilon exactly as the batch
-	// path does.
-	counts pairCounts
-	// sigs maps an activity-set signature to the sorted labeled activity
-	// set; the marking pass needs each distinct set once.
-	sigs map[string][]string
-	// executions counts Add calls.
+	st         state
 	executions int
+	acts       []int32 // Add scratch
 }
 
 // NewIncrementalMiner returns an empty miner.
 func NewIncrementalMiner() *IncrementalMiner {
-	im := &IncrementalMiner{}
-	im.init()
-	return im
-}
-
-// init lazily initializes the zero value.
-func (im *IncrementalMiner) init() {
-	if im.activities == nil {
-		im.activities = make(map[string]bool)
-		im.counts = newPairCounts()
-		im.sigs = make(map[string][]string)
-	}
+	return &IncrementalMiner{}
 }
 
 // Executions returns the number of executions added so far.
@@ -68,28 +47,58 @@ func (im *IncrementalMiner) Executions() int { return im.executions }
 
 // Activities returns the (unlabeled) activity alphabet seen so far, sorted.
 func (im *IncrementalMiner) Activities() []string {
-	set := map[string]bool{}
-	for a := range im.activities {
-		set[UnlabelActivity(a)] = true
+	out := make([]string, 0, len(im.st.labels))
+	for _, a := range im.st.labels {
+		out = append(out, UnlabelActivity(a))
 	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Add incorporates one completed execution. Activity names must not contain
 // the '#' instance separator.
 func (im *IncrementalMiner) Add(exec wlog.Execution) error {
-	im.init()
 	ll, err := LabelInstances(&wlog.Log{Executions: []wlog.Execution{exec}})
 	if err != nil {
 		return err
 	}
-	im.addLabeled(ll.Executions[0])
+	steps := ll.Executions[0].Steps
+	im.st.init()
+	im.acts = im.acts[:0]
+	for _, s := range steps {
+		im.acts = append(im.acts, im.st.intern(s.Activity))
+	}
+	im.st.addSet(im.st.fold(im.acts, steps))
+	im.executions++
 	return nil
+}
+
+// AddFrom merges other's state into the miner, remapping activity IDs by
+// label: counts and execution totals add, alphabets and distinct sets
+// union. Merging is commutative, so miners fed disjoint executions combine
+// into the state of one miner fed them all. other is only read.
+func (im *IncrementalMiner) AddFrom(other *IncrementalMiner) {
+	s, o := &im.st, &other.st
+	s.init()
+	remap := make([]int32, len(o.labels))
+	for id, label := range o.labels {
+		remap[id] = s.intern(label)
+	}
+	for _, p := range o.pairs {
+		q := s.pair(remap[p.u], remap[p.v])
+		for k, c := range p.n {
+			q.n[k] += c
+		}
+	}
+	var set []int32
+	for i := 0; i+1 < len(o.setOff); i++ {
+		set = set[:0]
+		for _, id := range o.setIDs[o.setOff[i]:o.setOff[i+1]] {
+			set = append(set, remap[id])
+		}
+		s.addSet(set)
+	}
+	im.executions += other.executions
 }
 
 // AddLog incorporates every execution of a log.
@@ -100,15 +109,6 @@ func (im *IncrementalMiner) AddLog(l *wlog.Log) error {
 		}
 	}
 	return nil
-}
-
-func (im *IncrementalMiner) addLabeled(exec wlog.Execution) {
-	im.executions++
-	set := im.counts.add(exec)
-	for _, a := range set {
-		im.activities[a] = true
-	}
-	im.sigs[signature(set)] = set
 }
 
 // Mine materializes a conformal graph from the accumulated state: Algorithm
@@ -127,7 +127,7 @@ func (im *IncrementalMiner) Mine(opt Options) (*graph.Digraph, error) {
 }
 
 // MineContext is Mine with cancellation: ctx is checked before the
-// followings-graph assembly and before each signature set's reduction in
+// followings-graph assembly and before each distinct set's reduction in
 // the marking pass, so a mine under a request deadline returns promptly.
 func (im *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*graph.Digraph, error) {
 	return im.MineTracedContext(ctx, opt, nil)
@@ -137,14 +137,13 @@ func (im *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*grap
 // mark → merge) recorded on tr; a nil trace is free. The service's /model
 // path uses it to feed the mine_stage_seconds histograms.
 func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, tr *obs.Trace) (*graph.Digraph, error) {
-	im.init()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := checkAlphabet(len(im.st.labels), opt); err != nil {
 		return nil, err
 	}
-	g, err := mineCounts(ctx, im.countInput(), opt, "assemble", tr, nil)
+	g, err := mineCounts(ctx, &im.st, opt, "assemble", tr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -152,32 +151,4 @@ func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, 
 	g = MergeInstances(g)
 	sp.End()
 	return g, nil
-}
-
-// countInput lays the miner's state out as the pipeline's input: the
-// labeled alphabet sorted, and every signature rewritten once as ascending
-// indices into it, in one arena — the shape the batch marking kernel
-// sweeps. Signature members missing from the alphabet (possible only in a
-// hand-built snapshot) are dropped, as the marking pass would ignore them.
-func (im *IncrementalMiner) countInput() countInput {
-	labels := make([]string, 0, len(im.activities))
-	for a := range im.activities {
-		labels = append(labels, a)
-	}
-	sort.Strings(labels)
-	ids := make(map[string]int32, len(labels))
-	for i, a := range labels {
-		ids[a] = int32(i)
-	}
-	setOff := make([]int32, 1, len(im.sigs)+1)
-	var setIDs []int32
-	for _, set := range im.sigs {
-		for _, a := range set {
-			if id, ok := ids[a]; ok {
-				setIDs = append(setIDs, id)
-			}
-		}
-		setOff = append(setOff, int32(len(setIDs)))
-	}
-	return countInput{labels: labels, setIDs: setIDs, setOff: setOff, count: func() pairCounts { return im.counts }}
 }

@@ -429,7 +429,7 @@ func servedGraph(t *testing.T, s *serve.Server, target string) (*graph.Digraph, 
 // shard counts, is served as the oracle graph for the default and the
 // explicit all-shard scope. Each shard's /model equals a miner fed the
 // executions the server routed to it, and those per-shard miners merged
-// into one equal the oracle too.
+// through AddFrom equal the oracle too.
 func TestReferenceOracleServe(t *testing.T) {
 	for name, l := range core.ParityLogs(t) {
 		want := graphKey(referenceMine(t, l, core.Options{}))
@@ -471,9 +471,7 @@ func TestReferenceOracleServe(t *testing.T) {
 					t.Errorf("%s/shards=%d: shard %d serves %d executions, %s\nwant %d executions, %s",
 						name, shards, i, execs, got, p.Executions(), wantShard)
 				}
-				if err := merged.RestoreSnapshot(p.Snapshot()); err != nil {
-					t.Fatalf("RestoreSnapshot: %v", err)
-				}
+				merged.AddFrom(p)
 			}
 			if got := graphKey(mineIncremental(t, merged, core.Options{})); got != want {
 				t.Errorf("%s/shards=%d: merged shard miners differ from the reference oracle\ngot:  %s\nwant: %s",

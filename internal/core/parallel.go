@@ -11,12 +11,8 @@ package core
 // and the 20× serialization check in determinism_test.go gate this
 // invariant.
 //
-// This shape is what fixed the parallel-scan regression the bench
-// trajectory recorded (speedups of 0.5-0.7 at every worker count): the
-// previous implementation converted each shard's dense matrices into hash
-// maps and merged those, so the map materialization and rehash-heavy merge
-// cost more than the sharded scan saved. Dense shard merging is O(n²) int32
-// adds with no allocation, leaving one map conversion at the very end.
+// Dense shard merging is O(n²) int32 adds with no allocation; the merged
+// matrices are converted into the mining state once, at the end.
 
 import (
 	"runtime"
@@ -29,8 +25,7 @@ import (
 
 // scanShardMin is the minimum number of executions per worker: below it the
 // goroutine spawn and O(n²) merge overhead outweighs the scan itself, so
-// small logs stay on the sequential path. The dense merge made sharding
-// profitable at half the shard size the map merge needed.
+// small logs stay on the sequential path.
 const scanShardMin = 32
 
 // parallelDenseAlphabetMax bounds the alphabet for which the scan shards:
@@ -38,7 +33,7 @@ const scanShardMin = 32
 // but resident while the pool is warm), so the dense budget that is
 // acceptable once (denseAlphabetMax) is not acceptable multiplied by
 // GOMAXPROCS. Larger alphabets scan sequentially: dense up to
-// denseAlphabetMax, with the map accumulator beyond.
+// denseAlphabetMax, with the per-execution fold beyond.
 const parallelDenseAlphabetMax = 1024
 
 // scanWorkers picks the shard count for a log of m executions over an
@@ -60,8 +55,7 @@ func scanWorkers(m, n int) int {
 // and returns the shard boundaries (len = shards+1, bounds[0] = 0,
 // bounds[len-1] = m). Sizes differ by at most one: the remainder of
 // m/workers is spread one execution at a time over the leading shards, so
-// no shard — in particular not the last one, which the previous
-// proportional split could leave below scanShardMin — degenerates. When
+// no shard, the last one included, degenerates. When
 // workers comes from scanWorkers (workers ≤ m/scanShardMin), every shard
 // therefore holds at least scanShardMin executions.
 func shardBounds(m, workers int) []int {

@@ -56,9 +56,10 @@ func overlapLog(m int) *wlog.Log {
 func parallelCounts(l *wlog.Log, workers int) pairCounts {
 	col := l.Columnar()
 	cs := scanShards(col, workers, nil)
-	pc := countsToPairs(col, cs)
+	st := &state{labels: col.Labels()}
+	st.addDense(cs)
 	col.ReleaseCounts(cs)
-	return pc
+	return labeledPairs(st)
 }
 
 func TestScanWorkersGates(t *testing.T) {

@@ -1,29 +1,30 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-
-	"procmine/internal/graph"
+	"slices"
+	"strings"
 )
 
 // Miner state export/import. The always-on serving layer (internal/serve)
 // checkpoints each shard's IncrementalMiner to disk so a crash or restart
-// loses at most one snapshot interval; the same machinery merges shard
-// states into one global model. Both uses demand two properties, which the
-// round-trip and merge property tests pin:
+// loses at most one snapshot interval. Two properties hold, which the
+// round-trip, merge and fixture tests pin:
 //
 //   - Determinism: Snapshot of a given miner state always produces the same
 //     value, and Encode always produces the same bytes — every slice is
 //     sorted, nothing depends on map iteration order.
-//   - Exactness: RestoreSnapshot is a lossless, additive merge. Restoring a
-//     snapshot into an empty miner and mining yields a graph byte-identical
-//     to mining the original; restoring several disjoint shards' snapshots
-//     equals mining the union of their logs (counts are per-execution
-//     integer sums, signature sets union, so the merge is commutative).
+//   - Exactness: RestoreSnapshot decodes the snapshot into a miner's state
+//     and merges it with AddFrom, losslessly. Restoring a snapshot into an
+//     empty miner and mining yields a graph byte-identical to mining the
+//     original, and snapshotting it again encodes the same bytes; restoring
+//     several disjoint shards' snapshots equals mining the union of their
+//     logs (counts are per-execution integer sums, distinct sets union, so
+//     the merge is commutative).
 
 // MinerSnapshotSchema identifies the snapshot wire format. Decode rejects
 // other schemas so a future format change cannot be misread silently.
@@ -55,106 +56,120 @@ type MinerSnapshot struct {
 	Sigs       [][]string  `json:"sigs"`
 }
 
-// pairCountsOf flattens a count map into a (From, To)-sorted slice.
-func pairCountsOf(m map[graph.Edge]int) []PairCount {
-	out := make([]PairCount, 0, len(m))
-	for e, c := range m {
-		out = append(out, PairCount{From: e.From, To: e.To, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
 // Snapshot exports the miner's accumulated state. The result shares no
 // memory with the miner, so it remains valid while the miner keeps
 // ingesting.
 func (im *IncrementalMiner) Snapshot() *MinerSnapshot {
-	im.init()
+	st := &im.st
+	groups := [numGroups][]PairCount{{}, {}, {}}
+	st.eachCount(func(g int, from, to string, c int) {
+		groups[g] = append(groups[g], PairCount{From: from, To: to, Count: c})
+	})
 	s := &MinerSnapshot{
 		Schema:     MinerSnapshotSchema,
 		Executions: im.executions,
-		Activities: make([]string, 0, len(im.activities)),
-		Order:      pairCountsOf(im.counts.order),
-		Overlap:    pairCountsOf(im.counts.overlap),
-		Cooc:       pairCountsOf(im.counts.cooc),
-		Sigs:       make([][]string, 0, len(im.sigs)),
+		Activities: append([]string{}, st.labels...),
+		Order:      sortPairs(groups[orderGroup]),
+		Overlap:    sortPairs(groups[overlapGroup]),
+		Cooc:       sortPairs(groups[coocGroup]),
+		Sigs:       make([][]string, 0, len(st.setOff)),
 	}
-	for a := range im.activities {
-		s.Activities = append(s.Activities, a)
+	slices.Sort(s.Activities)
+	for i := 0; i+1 < len(st.setOff); i++ {
+		set := []string{}
+		for _, id := range st.setIDs[st.setOff[i]:st.setOff[i+1]] {
+			set = append(set, st.labels[id])
+		}
+		s.Sigs = append(s.Sigs, set)
 	}
-	sort.Strings(s.Activities)
-	keys := make([]string, 0, len(im.sigs))
-	for k := range im.sigs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		set := im.sigs[k]
-		cp := make([]string, len(set))
-		copy(cp, set)
-		s.Sigs = append(s.Sigs, cp)
-	}
+	slices.SortFunc(s.Sigs, slices.Compare)
 	return s
 }
 
-// Validate checks the snapshot's structural invariants: schema, non-negative
-// counts, and sorted signature sets.
+// Validate checks that the snapshot is one Snapshot can write, up to the
+// order of its pair and signature lists: activities sorted and distinct;
+// positive counts of pairs of two distinct activities, each listed once,
+// overlap and co-occurrence pairs keyed From < To; and distinct signature
+// sets of activities, each sorted and without repeats.
 func (s *MinerSnapshot) Validate() error {
+	_, err := s.miner()
+	return err
+}
+
+// miner decodes the snapshot into a fresh miner and validates it against
+// the miner's own Snapshot: any violation makes the two differ.
+func (s *MinerSnapshot) miner() (*IncrementalMiner, error) {
 	if s.Schema != MinerSnapshotSchema {
-		return fmt.Errorf("%w: got %q, want %q", ErrSnapshotSchema, s.Schema, MinerSnapshotSchema)
+		return nil, fmt.Errorf("%w: got %q, want %q", ErrSnapshotSchema, s.Schema, MinerSnapshotSchema)
 	}
 	if s.Executions < 0 {
-		return fmt.Errorf("core: snapshot has negative execution count %d", s.Executions)
+		return nil, fmt.Errorf("core: snapshot has negative execution count %d", s.Executions)
 	}
-	for _, group := range [][]PairCount{s.Order, s.Overlap, s.Cooc} {
+	im := &IncrementalMiner{executions: s.Executions}
+	st := &im.st
+	st.init()
+	for _, a := range s.Activities {
+		st.intern(a)
+	}
+	for g, group := range [numGroups][]PairCount{s.Order, s.Overlap, s.Cooc} {
 		for _, pc := range group {
-			if pc.Count <= 0 {
-				return fmt.Errorf("core: snapshot pair %s->%s has non-positive count %d", pc.From, pc.To, pc.Count)
+			u, v, kind := st.intern(pc.From), st.intern(pc.To), g
+			if pc.From > pc.To {
+				u, v = v, u
+				if g == orderGroup {
+					kind = backOrder
+				}
+			}
+			if u != v {
+				st.pair(u, v).n[kind] += pc.Count
 			}
 		}
 	}
 	for _, set := range s.Sigs {
-		if !sort.StringsAreSorted(set) {
-			return fmt.Errorf("core: snapshot signature set %v is not sorted", set)
+		ids := make([]int32, 0, len(set))
+		for _, a := range set {
+			ids = append(ids, st.intern(a))
 		}
+		// Activities are sorted in a valid snapshot, so ID order is label
+		// order; any snapshot where it is not fails the check below.
+		slices.Sort(ids)
+		st.addSet(slices.Compact(ids))
 	}
-	return nil
+
+	canon := im.Snapshot()
+	sigs := slices.Clone(s.Sigs)
+	slices.SortFunc(sigs, slices.Compare)
+	if !slices.Equal(s.Activities, canon.Activities) ||
+		!slices.Equal(sortPairs(slices.Clone(s.Order)), canon.Order) ||
+		!slices.Equal(sortPairs(slices.Clone(s.Overlap)), canon.Overlap) ||
+		!slices.Equal(sortPairs(slices.Clone(s.Cooc)), canon.Cooc) ||
+		!slices.EqualFunc(sigs, canon.Sigs, slices.Equal) {
+		return nil, errors.New("core: snapshot is not one Snapshot writes: a stray, unsorted or repeated " +
+			"activity, a self-pair, a duplicate pair or set, a From > To overlap or cooc key, or a non-positive count")
+	}
+	return im, nil
 }
 
-// RestoreSnapshot merges a snapshot's counts into the miner: pair counters
-// add, activity alphabets and signature sets union, execution counts sum.
-// Restoring into a fresh miner reproduces the snapshotted state exactly;
+// sortPairs sorts a pair list by (From, To) in place and returns it.
+func sortPairs(pcs []PairCount) []PairCount {
+	slices.SortFunc(pcs, func(a, b PairCount) int {
+		return cmp.Or(strings.Compare(a.From, b.From), strings.Compare(a.To, b.To))
+	})
+	return pcs
+}
+
+// RestoreSnapshot decodes a snapshot into a fresh miner and merges that
+// into im with AddFrom. Restoring into a fresh miner reproduces the
+// snapshotted state exactly;
 // restoring several snapshots merges them commutatively, so shard states
 // taken over disjoint execution sets combine into the state of mining all
 // their executions in one miner.
 func (im *IncrementalMiner) RestoreSnapshot(s *MinerSnapshot) error {
-	if err := s.Validate(); err != nil {
+	other, err := s.miner()
+	if err != nil {
 		return err
 	}
-	im.init()
-	im.executions += s.Executions
-	for _, a := range s.Activities {
-		im.activities[a] = true
-	}
-	for _, pc := range s.Order {
-		im.counts.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
-	}
-	for _, pc := range s.Overlap {
-		im.counts.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
-	}
-	for _, pc := range s.Cooc {
-		im.counts.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
-	}
-	for _, set := range s.Sigs {
-		cp := make([]string, len(set))
-		copy(cp, set)
-		im.sigs[signature(cp)] = cp
-	}
+	im.AddFrom(other)
 	return nil
 }
 

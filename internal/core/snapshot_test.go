@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"procmine/internal/graph"
@@ -205,6 +206,56 @@ func TestSnapshotValidate(t *testing.T) {
 	if _, err := DecodeMinerSnapshot(bytes.NewReader([]byte("{not json"))); err == nil {
 		t.Error("garbage snapshot decoded")
 	}
+
+	// Each case breaks one invariant Snapshot guarantees; a restored state
+	// could not represent any of them faithfully.
+	for _, c := range []struct {
+		name   string
+		mutate func(s *MinerSnapshot)
+	}{
+		{"order pair outside the alphabet", func(s *MinerSnapshot) {
+			s.Order = append(slices.Clone(s.Order), PairCount{From: "X", To: "Y", Count: 5})
+		}},
+		{"cooc pair keyed From > To", func(s *MinerSnapshot) {
+			s.Cooc = append(slices.Clone(s.Cooc[1:]), PairCount{From: s.Cooc[0].To, To: s.Cooc[0].From, Count: s.Cooc[0].Count})
+		}},
+		{"overlap pair keyed From > To", func(s *MinerSnapshot) {
+			s.Overlap = []PairCount{{From: "B#1", To: "A#1", Count: 1}}
+		}},
+		{"duplicate order pair", func(s *MinerSnapshot) {
+			s.Order = append(slices.Clone(s.Order), s.Order[0])
+		}},
+		{"duplicate cooc pair", func(s *MinerSnapshot) {
+			s.Cooc = append(slices.Clone(s.Cooc), s.Cooc[0])
+		}},
+		{"self-pair", func(s *MinerSnapshot) {
+			s.Order = append(slices.Clone(s.Order), PairCount{From: "A#1", To: "A#1", Count: 1})
+		}},
+		{"repeated member in a signature set", func(s *MinerSnapshot) {
+			s.Sigs = [][]string{{"A#1", "A#1", "B#1"}}
+		}},
+		{"signature member outside the alphabet", func(s *MinerSnapshot) {
+			s.Sigs = [][]string{{"A#1", "Z#1"}}
+		}},
+		{"duplicate signature set", func(s *MinerSnapshot) {
+			s.Sigs = [][]string{{"A#1", "B#1"}, {"A#1", "B#1"}}
+		}},
+		{"unsorted activities", func(s *MinerSnapshot) {
+			s.Activities = []string{"B#1", "A#1", "C#1"}
+		}},
+		{"duplicate activity", func(s *MinerSnapshot) {
+			s.Activities = []string{"A#1", "B#1", "B#1", "C#1"}
+		}},
+	} {
+		bad := *good
+		c.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		if err := NewIncrementalMiner().RestoreSnapshot(&bad); err == nil {
+			t.Errorf("%s restored", c.name)
+		}
+	}
 }
 
 // TestIncrementalMineContext checks that a cancelled context aborts the
@@ -305,4 +356,52 @@ func TestSnapshotV1Fixture(t *testing.T) {
 	if dot := g.Dot("fixture"); dot != snapshotFixtureDot {
 		t.Errorf("fixture mines\n%s\nwant\n%s", dot, snapshotFixtureDot)
 	}
+}
+
+// FuzzDecodeMinerSnapshot feeds arbitrary bytes to the snapshot decoder,
+// the input of crash recovery. Whatever Validate accepts must restore and
+// mine without panicking, and must survive Snapshot → Encode → Decode →
+// Restore losslessly: the same encoded bytes and the same mined graph.
+func FuzzDecodeMinerSnapshot(f *testing.F) {
+	fixture, err := os.ReadFile(snapshotFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add([]byte(`{"schema":"procmine-miner-snapshot/v1","executions":1,"activities":["A#1","B#1"],` +
+		`"order":[{"from":"A#1","to":"B#1","count":1}],"overlap":[],` +
+		`"cooc":[{"from":"A#1","to":"B#1","count":1}],"sigs":[["A#1","B#1"]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeMinerSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := NewIncrementalMiner()
+		if err := first.RestoreSnapshot(snap); err != nil {
+			t.Fatalf("RestoreSnapshot of a validated snapshot: %v", err)
+		}
+		want := mineDot(t, first, Options{})
+		var enc bytes.Buffer
+		if err := first.Snapshot().Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeMinerSnapshot(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded snapshot: %v", err)
+		}
+		second := NewIncrementalMiner()
+		if err := second.RestoreSnapshot(again); err != nil {
+			t.Fatalf("RestoreSnapshot after the round trip: %v", err)
+		}
+		var reenc bytes.Buffer
+		if err := second.Snapshot().Encode(&reenc); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), reenc.Bytes()) {
+			t.Errorf("snapshot changed across the round trip:\n%s\nthen\n%s", enc.String(), reenc.String())
+		}
+		if got := mineDot(t, second, Options{}); got != want {
+			t.Errorf("round trip mines\n%s\nwant\n%s", got, want)
+		}
+	})
 }

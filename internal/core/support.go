@@ -29,7 +29,7 @@ func (s EdgeSupport) Confidence() float64 {
 // graphs counts are on raw (unlabeled) activities, so a loop edge B->C
 // reports the executions where some B instance preceded some C instance.
 func Support(l *wlog.Log, g *graph.Digraph) map[graph.Edge]EdgeSupport {
-	pc := scanCounts(l)
+	counts := scanState(l, nil).labeledCounts()
 	out := make(map[graph.Edge]EdgeSupport, g.NumEdges())
 	for _, e := range g.Edges() {
 		key := e
@@ -37,8 +37,8 @@ func Support(l *wlog.Log, g *graph.Digraph) map[graph.Edge]EdgeSupport {
 			key.From, key.To = key.To, key.From
 		}
 		out[e] = EdgeSupport{
-			Ordered: pc.order[e],
-			CoOccur: pc.cooc[key],
+			Ordered: counts[orderGroup][e],
+			CoOccur: counts[coocGroup][key],
 		}
 	}
 	return out

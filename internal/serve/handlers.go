@@ -254,9 +254,9 @@ func modelResponseOf(g *graph.Digraph, executions int) ModelResponse {
 }
 
 // handleModel mines the requested scope — all shards merged (default) or a
-// single shard — and renders it as DOT (default) or JSON. Merging restores
-// each shard's snapshot into one fresh miner; the snapshot-merge property
-// guarantees the result is byte-identical to mining the undivided log.
+// single shard — and renders it as DOT (default) or JSON. Each shard in
+// scope is merged into a private miner (the "collect" stage); the merge
+// property makes the result byte-identical to mining the undivided log.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if !s.admit() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
@@ -266,30 +266,24 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	scope := r.URL.Query().Get("shard")
-	merged := core.NewIncrementalMiner()
-	switch scope {
-	case "", "all":
-		for _, sh := range s.shards {
-			if err := merged.RestoreSnapshot(sh.exportMiner()); err != nil {
-				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-				return
-			}
-		}
-	default:
-		i, err := strconv.Atoi(scope)
+	scope := s.shards
+	if q := r.URL.Query().Get("shard"); q != "" && q != "all" {
+		i, err := strconv.Atoi(q)
 		if err != nil || i < 0 || i >= len(s.shards) {
 			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: fmt.Sprintf("shard %q: want 0..%d or all", scope, len(s.shards)-1)})
+				errorResponse{Error: fmt.Sprintf("shard %q: want 0..%d or all", q, len(s.shards)-1)})
 			return
 		}
-		if err := merged.RestoreSnapshot(s.shards[i].exportMiner()); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
-		}
+		scope = s.shards[i : i+1]
 	}
 
 	tr := obs.NewTrace()
+	sp := tr.Start("collect")
+	merged := core.NewIncrementalMiner()
+	for _, sh := range scope {
+		sh.collect(merged)
+	}
+	sp.End()
 	g, err := merged.MineTracedContext(ctx, s.cfg.Mine, tr)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

@@ -26,9 +26,9 @@ func errorClasses() []wlog.ErrorClass {
 // rejectReasons enumerates the shard admission-rejection outcomes.
 func rejectReasons() []string { return []string{"overload", "deadline"} }
 
-// mineStageNames enumerates the incremental-mine stages pre-registered so
-// the mine_stage_seconds families exist (at zero) from startup.
-func mineStageNames() []string { return []string{"assemble", "scc", "mark", "merge"} }
+// mineStageNames enumerates the /model stages (the shard merge, then the
+// mine's) pre-registered so the families exist at zero from startup.
+func mineStageNames() []string { return []string{"collect", "assemble", "scc", "mark", "merge"} }
 
 // shardMetrics is one shard's pre-resolved ingest series.
 type shardMetrics struct {

@@ -162,14 +162,14 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.shards {
 		sm := &met.shards[i]
 		s.shards[i] = newShard(i, cfg, sm, &breakerEvents{shard: i, met: sm, log: logger})
-		snap, err := snaps.load(i, cfg.Shards)
+		snap, miner, err := snaps.load(i, cfg.Shards)
 		if err != nil {
 			return nil, err
 		}
 		if snap == nil {
 			continue
 		}
-		if err := s.shards[i].restore(snap.Miner, snap.Open); err != nil {
+		if err := s.shards[i].restore(miner, snap.Open); err != nil {
 			return nil, fmt.Errorf("serve: restore shard %d: %w", i, err)
 		}
 		s.restored++

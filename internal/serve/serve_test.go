@@ -361,8 +361,9 @@ func TestRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestText(t, s2, textOf(t, serveLog(4)), http.StatusOK)
-	snap := s2.shards[0].exportMiner()
-	if err := s.shards[0].restore(snap, nil); err != nil {
+	miner := core.NewIncrementalMiner()
+	s2.shards[0].collect(miner)
+	if err := s.shards[0].restore(miner, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -515,6 +516,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := metricSum(t, exp, "procmined_mine_stage_seconds_count"); got == 0 {
 		t.Errorf("mine_stage_seconds observed nothing after GET /model")
+	}
+	if got := metricSum(t, exp, `procmined_mine_stage_seconds_count{stage="collect"}`); got != 1 {
+		t.Errorf(`mine_stage_seconds{stage="collect"} count = %v, want 1 after one GET /model`, got)
 	}
 	if got := metricSum(t, exp, "procmined_snapshot_save_seconds_count"); got != 2 {
 		t.Errorf("snapshot_save_seconds count = %v, want 2 (one save per shard)", got)

@@ -179,13 +179,16 @@ func (sh *shard) ingest(ctx context.Context, events []wlog.Event) (ShardResult, 
 	return res, ingestErr
 }
 
-// minerSnapshot exports the shard's durable state for checkpointing or
-// cross-shard merging.
-func (sh *shard) minerSnapshot() (*core.MinerSnapshot, []wlog.OpenExecution) {
+// minerSnapshot copies the shard's durable state for a checkpoint under the
+// shard mutex: the miner, merged into a private one the caller encodes
+// after the lock is released, and the open executions.
+func (sh *shard) minerSnapshot() (*core.IncrementalMiner, []wlog.OpenExecution) {
+	miner := core.NewIncrementalMiner()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.sinceSnap = 0
-	return sh.miner.Snapshot(), sh.stream.SnapshotOpen()
+	miner.AddFrom(sh.miner)
+	return miner, sh.stream.SnapshotOpen()
 }
 
 // pendingSnapshot reports whether count-based snapshotting is due.
@@ -199,21 +202,19 @@ func (sh *shard) pendingSnapshot(every int) bool {
 }
 
 // restore loads a checkpoint into a fresh shard.
-func (sh *shard) restore(miner *core.MinerSnapshot, open []wlog.OpenExecution) error {
+func (sh *shard) restore(miner *core.IncrementalMiner, open []wlog.OpenExecution) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.miner.RestoreSnapshot(miner); err != nil {
-		return err
-	}
+	sh.miner.AddFrom(miner)
 	return sh.stream.RestoreOpen(open)
 }
 
-// exportMiner copies the shard's miner state for read-path merging, without
-// marking a checkpoint (sinceSnap is untouched).
-func (sh *shard) exportMiner() *core.MinerSnapshot {
+// collect merges the shard's miner into dst, a /model request's private
+// miner, under the shard mutex; sinceSnap is untouched.
+func (sh *shard) collect(dst *core.IncrementalMiner) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.miner.Snapshot()
+	dst.AddFrom(sh.miner)
 }
 
 // drain closes the shard's stream: completed executions are emitted into

@@ -43,13 +43,9 @@ type shardSnapshot struct {
 	Open        []wlog.OpenExecution `json:"open,omitempty"`
 }
 
-// modelDigest mines a snapshot's state with zero options and hashes the
+// modelDigest mines a miner's state with zero options and hashes the
 // canonical DOT rendering.
-func modelDigest(s *core.MinerSnapshot) (string, error) {
-	im := core.NewIncrementalMiner()
-	if err := im.RestoreSnapshot(s); err != nil {
-		return "", err
-	}
+func modelDigest(im *core.IncrementalMiner) (string, error) {
 	g, err := im.Mine(core.Options{})
 	if err != nil {
 		return "", err
@@ -114,8 +110,8 @@ func (sn *snapshotter) path(shard int) string {
 	return filepath.Join(sn.dir, fmt.Sprintf("shard-%04d.snap.json", shard))
 }
 
-// save checkpoints one shard atomically.
-func (sn *snapshotter) save(shard, shards int, miner *core.MinerSnapshot, open []wlog.OpenExecution) error {
+// save checkpoints one shard's private copy of its miner atomically.
+func (sn *snapshotter) save(shard, shards int, miner *core.IncrementalMiner, open []wlog.OpenExecution) error {
 	if !sn.enabled() {
 		return nil
 	}
@@ -128,9 +124,9 @@ func (sn *snapshotter) save(shard, shards int, miner *core.MinerSnapshot, open [
 		Schema:      ShardSnapshotSchema,
 		Shard:       shard,
 		Shards:      shards,
-		Executions:  miner.Executions,
+		Executions:  miner.Executions(),
 		ModelSHA256: digest,
-		Miner:       miner,
+		Miner:       miner.Snapshot(),
 		Open:        open,
 	}
 	f, err := os.CreateTemp(sn.dir, fmt.Sprintf(".shard-%04d-*.tmp", shard))
@@ -171,43 +167,44 @@ func (sn *snapshotter) save(shard, shards int, miner *core.MinerSnapshot, open [
 	return nil
 }
 
-// load reads and verifies one shard's checkpoint. A missing file returns
-// (nil, nil): the shard simply starts empty.
-func (sn *snapshotter) load(shard, shards int) (*shardSnapshot, error) {
+// load reads, restores and verifies one shard's checkpoint. A missing file
+// returns nils: the shard simply starts empty.
+func (sn *snapshotter) load(shard, shards int) (*shardSnapshot, *core.IncrementalMiner, error) {
 	if !sn.enabled() {
-		return nil, nil
+		return nil, nil, nil
 	}
 	start := sn.clock.Now()
 	data, err := os.ReadFile(sn.path(shard))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: restore shard %d: %w", shard, err)
+		return nil, nil, fmt.Errorf("serve: restore shard %d: %w", shard, err)
 	}
 	var snap shardSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("serve: restore shard %d: decode: %w", shard, err)
+		return nil, nil, fmt.Errorf("serve: restore shard %d: decode: %w", shard, err)
 	}
 	if snap.Schema != ShardSnapshotSchema {
-		return nil, fmt.Errorf("serve: restore shard %d: schema %q, want %q", shard, snap.Schema, ShardSnapshotSchema)
+		return nil, nil, fmt.Errorf("serve: restore shard %d: schema %q, want %q", shard, snap.Schema, ShardSnapshotSchema)
 	}
 	if snap.Shard != shard || snap.Shards != shards {
-		return nil, fmt.Errorf("serve: restore shard %d: checkpoint is for shard %d of %d, want shard %d of %d",
+		return nil, nil, fmt.Errorf("serve: restore shard %d: checkpoint is for shard %d of %d, want shard %d of %d",
 			shard, snap.Shard, snap.Shards, shard, shards)
 	}
 	if snap.Miner == nil {
-		return nil, fmt.Errorf("serve: restore shard %d: checkpoint has no miner state", shard)
+		return nil, nil, fmt.Errorf("serve: restore shard %d: checkpoint has no miner state", shard)
 	}
-	if err := snap.Miner.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: restore shard %d: %w", shard, err)
+	miner := core.NewIncrementalMiner()
+	if err := miner.RestoreSnapshot(snap.Miner); err != nil {
+		return nil, nil, fmt.Errorf("serve: restore shard %d: %w", shard, err)
 	}
-	digest, err := modelDigest(snap.Miner)
+	digest, err := modelDigest(miner)
 	if err != nil {
-		return nil, fmt.Errorf("serve: restore shard %d: digest: %w", shard, err)
+		return nil, nil, fmt.Errorf("serve: restore shard %d: digest: %w", shard, err)
 	}
 	if digest != snap.ModelSHA256 {
-		return nil, fmt.Errorf("serve: restore shard %d: %w: model digest %s, recorded %s",
+		return nil, nil, fmt.Errorf("serve: restore shard %d: %w: model digest %s, recorded %s",
 			shard, ErrSnapshotIntegrity, digest, snap.ModelSHA256)
 	}
 	elapsed := sn.clock.Now().Sub(start).Seconds()
@@ -220,5 +217,5 @@ func (sn *snapshotter) load(shard, shards int) (*shardSnapshot, error) {
 			"shard", shard, "executions", snap.Executions, "open", len(snap.Open),
 			"bytes", len(data), "duration_seconds", elapsed)
 	}
-	return &snap, nil
+	return &snap, miner, nil
 }
