@@ -272,11 +272,10 @@ func assembleFollowsGraph(st *state, opt Options, diag *Diagnostics) (*graph.Dig
 			}
 		}
 		fwd, back := fwdN > 0 && fwdN >= t, backN > 0 && backN >= t
+		// Step 3: no edge for a pair seen in both directions, or seen
+		// overlapping with at least threshold support.
 		switch {
 		case fwd && back:
-			// Step 3: remove edges present in both directions, and edges
-			// between pairs observed overlapping (with at least threshold
-			// support).
 			twoCycle += 2
 		case (fwd || back) && p.n[overlapGroup] >= max(t, 1):
 			overlap++

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,6 +125,44 @@ func TestShardedIngestMatchesBatch(t *testing.T) {
 		if got := modelDot(t, s); got != want {
 			t.Errorf("shards=%d: served model diverges from batch mine\ngot:\n%s\nwant:\n%s", shards, got, want)
 		}
+	}
+}
+
+// TestConcurrentIngestAndModel serves /model while /ingest batches land on
+// every shard, so the race detector sees each shard merged into a request's
+// private miner beside concurrent pushes, and checks that the final model
+// equals one batch mine.
+func TestConcurrentIngestAndModel(t *testing.T) {
+	l := serveLog(48)
+	want := batchDot(t, l, core.Options{})
+	s, err := New(Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if rec := do(t, s, http.MethodGet, "/model?format=json", "", ""); rec.Code != http.StatusOK {
+				t.Errorf("GET /model during ingest = %d: %s", rec.Code, rec.Body.String())
+				return
+			}
+		}
+	}()
+	for i := 0; i < len(l.Executions); i += 6 {
+		ingestText(t, s, textOf(t, &wlog.Log{Executions: l.Executions[i : i+6]}), http.StatusOK)
+	}
+	close(done)
+	wg.Wait()
+	if got := modelDot(t, s); got != want {
+		t.Errorf("model after concurrent ingest diverges from batch mine\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
