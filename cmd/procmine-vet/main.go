@@ -5,15 +5,10 @@
 // on the module call graph (lockheldblocking, ctxleak, hotalloc, and the
 // lock-order deadlock detector lockorder).
 //
-// Standalone, over package patterns:
+// It runs over package patterns, type-checking every matched package and
+// building one module call graph per run:
 //
 //	procmine-vet ./...
-//
-// Or as a vet tool, one package at a time under cmd/go's unit-checker
-// protocol (function summaries cross package boundaries through vetx facts
-// files):
-//
-//	go vet -vettool=$(which procmine-vet) ./...
 //
 // Diagnostic baselines let CI gate on new findings only:
 //
@@ -28,20 +23,14 @@
 // emitted as a JSON array of {file, line, col, pass, message} objects,
 // sorted by (file, line, col, pass), for CI annotation tooling. Adding
 // -timing changes the JSON shape to an object
-// {"findings": [...], "timing": {...}} carrying per-pass wall time,
-// diagnostic counts, cache hit/typecheck counts, and coverage counters;
+// {"findings": [...], "timing": {...}} carrying the package count, per-pass
+// wall time, diagnostic counts, and coverage counters;
 // without -json, -timing prints the table to stderr. -stats prints each
 // pass's coverage counters (sites skipped as unanalyzable, see
 // analysis.Pass.Count) to stderr. -graph FILE writes the module call graph
 // as Graphviz DOT ("-" for stdout); unresolved call edges carry
 // kind="unresolved", which CI greps to keep the service layer fully
 // analyzable.
-//
-// -cache DIR enables the driver's per-package content-hash cache: packages
-// whose sources, in-module dependency closure, toolchain, and analyzer
-// binary are all unchanged replay their findings without being re-parsed
-// or re-type-checked, and a warm rerun's output is byte-identical to the
-// cold run's.
 //
 // Exit status: 0 when clean, 1 when any pass reports a finding (or any
 // non-baselined finding under -baseline check), 2 when loading or
@@ -51,7 +40,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -76,7 +64,6 @@ import (
 	"procmine/internal/analysis/passes/noglobals"
 	"procmine/internal/analysis/passes/sharedcapture"
 	"procmine/internal/analysis/passes/wgprotocol"
-	"procmine/internal/analysis/vetcfg"
 )
 
 // suite returns the full pass list: seven intra-function passes and the
@@ -111,33 +98,19 @@ func say(w io.Writer, format string, args ...any) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("procmine-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	versionFlag := fs.String("V", "", "print version and exit (cmd/go tool-ID protocol)")
-	jsonFlag := fs.Bool("json", false, "emit diagnostics as JSON (vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "describe flags as JSON and exit (cmd/go vet-tool protocol)")
+	jsonFlag := fs.Bool("json", false, "emit diagnostics as a JSON array of {file, line, col, pass, message}")
 	baselineFlag := fs.String("baseline", "", "baseline mode: 'write' records current findings to the baseline file, 'check' fails only on findings the baseline does not accept")
 	timingFlag := fs.Bool("timing", false, "report per-pass wall time and diagnostic counts (table on stderr, or embedded in -json output)")
 	statsFlag := fs.Bool("stats", false, "report per-pass coverage counters — sites skipped as unanalyzable — on stderr")
-	cacheFlag := fs.String("cache", "", "cache directory for per-package analysis results; unchanged packages replay instead of re-type-checking")
 	graphFlag := fs.String("graph", "", "write the module call graph as Graphviz DOT to this file ('-' for stdout)")
 	fs.Usage = func() {
-		say(stderr, "usage: procmine-vet [packages] | procmine-vet -baseline write|check [FILE.json] [packages] | procmine-vet <unit>.cfg\n")
+		say(stderr, "usage: procmine-vet [packages] | procmine-vet -baseline write|check [FILE.json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *versionFlag != "" {
-		return printVersion(stdout, stderr, *versionFlag)
-	}
-	if *flagsFlag {
-		return printFlags(fs, stdout, stderr)
-	}
 	rest := fs.Args()
-
-	// Unit-checker mode: cmd/go hands us one <unit>.cfg per package.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetcfg.Run(rest[0], suite(), *jsonFlag, stdout, stderr)
-	}
 
 	// Baseline modes take an optional leading FILE.json positional.
 	baselinePath := "BASELINE.json"
@@ -155,18 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(rest) == 0 {
 		rest = []string{"."}
 	}
-	opts := driver.Options{CacheDir: *cacheFlag}
-	if opts.CacheDir != "" {
-		// Salt the cache with the binary's own content hash: rebuilding the
-		// tool (new pass logic over identical sources) must miss.
-		salt, err := exeHash()
-		if err != nil {
-			say(stderr, "procmine-vet: %v\n", err)
-			return 2
-		}
-		opts.Salt = salt
-	}
-	res, err := driver.RunWithOptions(rest, suite(), opts)
+	res, err := driver.Run("", rest, suite())
 	if err != nil {
 		say(stderr, "procmine-vet: %v\n", err)
 		return 2
@@ -279,8 +241,7 @@ func emit(stdout, stderr io.Writer, wd string, findings []driver.Finding, asJSON
 
 // printTiming renders the per-pass table, slowest pass visible at a glance.
 func printTiming(w io.Writer, stats driver.Stats) {
-	say(w, "procmine-vet: timing over %d package(s) (%d cache hit(s), %d type-checked):\n",
-		stats.Packages, stats.CacheHits, stats.Typechecked)
+	say(w, "procmine-vet: timing over %d package(s):\n", stats.Packages)
 	for _, p := range stats.Passes {
 		say(w, "  %-18s %9.1fms  %d finding(s)\n", p.Pass, p.Millis, p.Findings)
 	}
@@ -324,75 +285,4 @@ func writeGraph(g *callgraph.Graph, path string, stdout io.Writer) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// printFlags implements the cmd/go -flags handshake: before running a vet
-// tool, the go command asks it to describe its flag set as a JSON array so
-// vet-specific command-line flags can be routed to it.
-func printFlags(fs *flag.FlagSet, stdout, stderr io.Writer) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = b.IsBoolFlag()
-		}
-		out = append(out, jsonFlag{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	data, err := json.Marshal(out)
-	if err != nil {
-		say(stderr, "procmine-vet: %v\n", err)
-		return 2
-	}
-	say(stdout, "%s\n", data)
-	return 0
-}
-
-// printVersion implements the cmd/go -V=full tool-ID handshake: the go
-// command embeds the printed line in its build cache key, so it must vary
-// with the binary's contents.
-func printVersion(stdout, stderr io.Writer, mode string) int {
-	if mode != "full" {
-		say(stderr, "procmine-vet: unsupported flag value -V=%s\n", mode)
-		return 2
-	}
-	sum, err := exeHash()
-	if err != nil {
-		say(stderr, "procmine-vet: %v\n", err)
-		return 2
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		say(stderr, "procmine-vet: %v\n", err)
-		return 2
-	}
-	say(stdout, "%s version procmine-vet buildID=%s\n", exe, sum)
-	return 0
-}
-
-// exeHash is the sha256 of the running binary, hex-encoded. It doubles as
-// the -V=full build ID and the -cache key salt: both must change exactly
-// when the tool's behavior might.
-func exeHash() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	_, cerr := io.Copy(h, f)
-	if err := f.Close(); cerr == nil {
-		cerr = err
-	}
-	if cerr != nil {
-		return "", cerr
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }

@@ -9,45 +9,6 @@ import (
 	"testing"
 )
 
-func TestVersionHandshake(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exit code = %d, want 0; stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "version procmine-vet buildID=") {
-		t.Errorf("-V=full output missing tool ID line: %q", out)
-	}
-	stdout.Reset()
-	if code := run([]string{"-V=short"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-V=short exit code = %d, want 2 (only full is supported)", code)
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exit code = %d, want 0; stderr: %s", code, stderr.String())
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal([]byte(stdout.String()), &flags); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, stdout.String())
-	}
-	names := make(map[string]bool)
-	for _, f := range flags {
-		names[f.Name] = true
-	}
-	for _, want := range []string{"V", "json", "flags", "baseline"} {
-		if !names[want] {
-			t.Errorf("-flags output missing flag %q: %s", want, stdout.String())
-		}
-	}
-}
-
 func TestBadFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {

@@ -1,6 +1,7 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
-// type-checked package at a time and reports Diagnostics. It exists because
+// type-checked package at a time and reports Diagnostics, or, when it is
+// module-level, inspects the whole module's call graph once. It exists because
 // procmine vendors no third-party modules; the API deliberately mirrors the
 // upstream one so the passes under passes/ could migrate to x/tools verbatim
 // if the dependency ever becomes available.
@@ -31,15 +32,12 @@ type Analyzer struct {
 	// Run applies the pass to one package, reporting findings via
 	// pass.Report or pass.Reportf.
 	Run func(*Pass) error
-	// RunModule, when non-nil, marks the analyzer as module-level: its
-	// findings in one package depend on code elsewhere in the module
-	// (hot-path reachability flows from importers to importees; lock-order
-	// cycles span arbitrary packages), so per-package findings cannot be
-	// cached against a package's own content hash. The driver calls
-	// RunModule once per run with the module-wide facts (a
-	// *callgraph.Graph) instead of caching Run's output; Run remains for
-	// the vettool protocol and analysistest, which are per-package by
-	// construction.
+	// RunModule marks the analyzer as module-level: its findings in one
+	// package depend on code elsewhere in the module (hot-path
+	// reachability flows from importers to importees; lock-order cycles
+	// span arbitrary packages), so it runs once over the module-wide facts
+	// (a *callgraph.Graph) instead of once per package. An analyzer sets
+	// exactly one of Run and RunModule.
 	RunModule func(facts any) []ModuleFinding
 }
 

@@ -17,6 +17,10 @@
 // procmine <reason>) are honored exactly as in the real driver, so a
 // fixture line carrying a directive and no want comment proves the escape
 // hatch works.
+//
+// Each analyzer runs through the entry point the driver uses: Run for
+// per-package passes, RunModule over the fixture's call graph for
+// module-level ones.
 package analysistest
 
 import (
@@ -40,7 +44,7 @@ import (
 
 // Run applies a to each fixture package under dir/src and reports
 // mismatches between reported and expected diagnostics as test errors.
-// The fixture packages are type-checked with ForceScope set, so analyzers'
+// Per-package analyzers see the fixtures with ForceScope set, so their
 // package-path scoping predicates treat them as in scope.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
@@ -115,27 +119,36 @@ func runPackage(t *testing.T, pkgDir, pkgPath string, a *analysis.Analyzer, forc
 	// testable with the same harness as the intra-function ones.
 	g := callgraph.Build(fset, []callgraph.Package{{Files: files, Pkg: tpkg, Info: info}})
 	g.ComputeSummaries()
-	pass := &analysis.Pass{
-		Fset:       fset,
-		Files:      files,
-		Pkg:        tpkg,
-		TypesInfo:  info,
-		ForceScope: forceScope,
-		Facts:      g,
-	}
-	diags, err := analysis.Run(a, pass)
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
+	got := make(map[key][]string)
+	if a.RunModule != nil {
+		sup := analysis.CollectSuppressions(fset, files)
+		for _, mf := range a.RunModule(g) {
+			if !sup.SuppressesAt(mf.Pos, a.Name) {
+				k := key{mf.Pos.Filename, mf.Pos.Line}
+				got[k] = append(got[k], mf.Message)
+			}
+		}
+	} else {
+		pass := &analysis.Pass{
+			Fset:       fset,
+			Files:      files,
+			Pkg:        tpkg,
+			TypesInfo:  info,
+			ForceScope: forceScope,
+			Facts:      g,
+		}
+		diags, err := analysis.Run(a, pass)
+		if err != nil {
+			t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
+		}
+		for _, d := range diags {
+			pos := fset.Position(d.Pos)
+			k := key{pos.Filename, pos.Line}
+			got[k] = append(got[k], d.Message)
+		}
 	}
 
 	wants := collectWants(t, fset, files)
-	got := make(map[key][]string)
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		k := key{pos.Filename, pos.Line}
-		got[k] = append(got[k], d.Message)
-	}
-
 	// Every want must be matched by exactly one diagnostic on its line.
 	for k, res := range wants {
 		msgs := got[k]

@@ -215,23 +215,3 @@ func Stale(base *File, dir string, current []driver.Finding) []Entry {
 	}
 	return out
 }
-
-// Acceptor returns a stateful filter over the baseline: each call reports
-// whether the finding is accepted, decrementing that key's remaining
-// budget, so N baselined instances admit exactly N findings and the N+1st
-// is rejected. The vettool adapter uses it where per-package findings
-// stream through one at a time and a whole-run Diff is not possible.
-func Acceptor(base *File, dir string) func(file, pass, message string) bool {
-	remaining := make(map[key]int, len(base.Findings))
-	for _, e := range base.Findings {
-		remaining[key{e.File, e.Pass, e.Message}] += e.Count
-	}
-	return func(file, pass, message string) bool {
-		k := key{normalize(dir, file), pass, message}
-		if remaining[k] <= 0 {
-			return false
-		}
-		remaining[k]--
-		return true
-	}
-}

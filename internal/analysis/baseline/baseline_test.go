@@ -206,24 +206,3 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Errorf("Load with summary missing a pass: err = %v, want missing-pass rejection", err)
 	}
 }
-
-// TestAcceptor: N baselined instances admit exactly N findings; the N+1st
-// is rejected, and paths are normalized the same way Diff normalizes them.
-func TestAcceptor(t *testing.T) {
-	dir := t.TempDir()
-	base := baseline.FromFindings(dir, []driver.Finding{
-		finding(filepath.Join(dir, "a.go"), 1, "hotalloc", "m"),
-		finding(filepath.Join(dir, "a.go"), 2, "hotalloc", "m"),
-	})
-	accept := baseline.Acceptor(base, dir)
-	abs := filepath.Join(dir, "a.go")
-	if !accept(abs, "hotalloc", "m") || !accept(abs, "hotalloc", "m") {
-		t.Fatal("Acceptor rejected baselined instances")
-	}
-	if accept(abs, "hotalloc", "m") {
-		t.Error("Acceptor admitted a third instance of a twice-baselined finding")
-	}
-	if accept(abs, "ctxleak", "m") {
-		t.Error("Acceptor admitted an unbaselined pass")
-	}
-}

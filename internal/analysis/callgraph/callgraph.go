@@ -22,9 +22,7 @@
 //     the interface method object (kind "interface"); their behavior comes
 //     from the intrinsics table or defaults to unknown-but-harmless.
 //   - Calls to functions outside the analyzed package set (the standard
-//     library, when running one package at a time) are "external" edges,
-//     classified by the intrinsics table or by imported summaries from a
-//     facts file.
+//     library) are "external" edges, classified by the intrinsics table.
 //   - Calls through plain function values are "unresolved" edges: nothing
 //     is known about the callee, and the conservative default in every
 //     summary direction is "no effect" (so unresolved calls can never
@@ -95,9 +93,8 @@ type Call struct {
 	Site *ast.CallExpr
 	// Pos locates the call.
 	Pos token.Pos
-	// Position is Pos rendered against the building FileSet. Skeleton
-	// nodes reconstructed from a facts cache carry only Position (Pos is
-	// zero there), so position-dependent consumers must read this field.
+	// Position is Pos rendered against the building FileSet, the form
+	// module-level passes report in.
 	Position token.Position
 	// InLoop reports the call is lexically inside a for/range statement of
 	// its innermost enclosing function body (declaration or literal).
@@ -182,13 +179,8 @@ type Function struct {
 	litLockClasses map[string]bool
 
 	// info is the declaring package's type information, retained so
-	// ComputeSummaries can run the CFG-based held-set analysis. Nil for
-	// skeleton nodes reconstructed from a facts cache.
+	// ComputeSummaries can run the CFG-based held-set analysis.
 	info *types.Info
-	// skeleton marks a node rebuilt from serialized NodeFacts: its Summary
-	// is final (computed by an earlier run over identical sources) and the
-	// fixpoint must treat it as a fixed input, never a variable.
-	skeleton bool
 }
 
 // Summary is the per-function fact set propagated bottom-up over SCCs.
@@ -196,39 +188,37 @@ type Summary struct {
 	// MayBlock: the function can block its goroutine — channel operations,
 	// a select without default, a blocking intrinsic (I/O, time.Sleep,
 	// sync Wait), or a call to a mayBlock function.
-	MayBlock bool `json:"mayBlock,omitempty"`
+	MayBlock bool
 	// BlockWitness explains MayBlock with the first (source-order) cause,
 	// expanded through acyclic call chains.
-	BlockWitness string `json:"blockWitness,omitempty"`
+	BlockWitness string
 	// Allocates: the function allocates (composite literal, make, new,
 	// append) directly or via a callee.
-	Allocates bool `json:"allocates,omitempty"`
+	Allocates bool
 	// AllocsInLoop: some allocation happens inside a loop — an in-loop
 	// site, an in-loop call to an allocating callee, or any call to a
 	// callee that itself allocates in a loop.
-	AllocsInLoop bool `json:"allocsInLoop,omitempty"`
-	// TakesCtx mirrors Function.TakesCtx so imported summaries carry it.
-	TakesCtx bool `json:"takesCtx,omitempty"`
+	AllocsInLoop bool
 	// PropagatesCtx: the function has a ctx parameter and every
 	// (non-detached, non-literal) call to a mayBlock callee passes a
 	// context value on.
-	PropagatesCtx bool `json:"propagatesCtx,omitempty"`
+	PropagatesCtx bool
 	// Acquires lists receiver/parameter-relative mutex paths the function
 	// net-acquires (locks without releasing), e.g. "recv.mu".
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// Releases lists paths the function net-releases.
-	Releases []string `json:"releases,omitempty"`
+	Releases []string
 	// AllAcquires lists the global lock classes (see LockClassOf) this
 	// function may acquire, directly or through any non-detached,
 	// non-deferred static callee, sorted.
-	AllAcquires []string `json:"allAcquires,omitempty"`
+	AllAcquires []string
 	// AcqWitness explains, per class in AllAcquires, how the function
 	// reaches an acquisition ("locks (serve.shard).mu" or "calls
 	// (serve.shard).stats, which locks (serve.shard).mu").
-	AcqWitness map[string]string `json:"acqWitness,omitempty"`
+	AcqWitness map[string]string
 	// Pairs are the ordered acquisition pairs observed in this function's
 	// body: Second was (may-)acquired while First was held.
-	Pairs []LockPair `json:"lockPairs,omitempty"`
+	Pairs []LockPair
 }
 
 // Package is one analyzed package handed to Build. All packages must share
@@ -239,7 +229,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Graph is the call graph of one Build call plus any imported summaries.
+// Graph is the call graph of a set of packages sharing one FileSet.
 type Graph struct {
 	// Fset maps positions for diagnostics.
 	Fset *token.FileSet
@@ -247,10 +237,6 @@ type Graph struct {
 	Functions map[string]*Function
 	// Keys is the sorted node list, for deterministic iteration.
 	Keys []string
-	// Imported holds summaries of functions outside the analyzed set,
-	// loaded from facts files (vettool mode) or accumulated across package
-	// batches. Keyed like Functions.
-	Imported map[string]Summary
 
 	hotReach map[string]bool // lazily computed hot-reachable set
 }
@@ -259,7 +245,7 @@ type Graph struct {
 const HotAnnotation = "//procmine:hot"
 
 // Build constructs the call graph of the given packages. Summaries are not
-// computed; call ComputeSummaries after installing any imported summaries.
+// computed; call ComputeSummaries before querying them.
 func Build(fset *token.FileSet, pkgs []Package) *Graph {
 	g := NewGraph(fset)
 	analyzed := make(map[string]bool, len(pkgs))
@@ -274,18 +260,17 @@ func Build(fset *token.FileSet, pkgs []Package) *Graph {
 }
 
 // NewGraph returns an empty graph over fset. Callers add nodes with Install
-// (or AddSkeleton) and must call Finalize before using the graph.
+// and must call Finalize before using the graph.
 func NewGraph(fset *token.FileSet) *Graph {
 	return &Graph{
 		Fset:      fset,
 		Functions: make(map[string]*Function),
-		Imported:  make(map[string]Summary),
 	}
 }
 
 // ScanPackage scans one package's declarations into call-graph nodes.
-// analyzed is the full set of import paths that will be part of the graph
-// (fresh or skeleton): calls into it are static edges, calls outside it are
+// analyzed is the full set of import paths that will be part of the graph:
+// calls into it are static edges, calls outside it are
 // external. The scan touches only p and fset, so distinct packages can be
 // scanned concurrently as long as they share fset.
 func ScanPackage(fset *token.FileSet, p Package, analyzed map[string]bool) []*Function {
@@ -325,8 +310,7 @@ func (g *Graph) Install(fns []*Function) {
 	}
 }
 
-// Finalize sorts the node index; call it once after all Install/AddSkeleton
-// calls and before ComputeSummaries or traversal.
+// Finalize sorts the node index; call it once after all Install calls and before ComputeSummaries or traversal.
 func (g *Graph) Finalize() {
 	g.Keys = make([]string, 0, len(g.Functions))
 	for k := range g.Functions {

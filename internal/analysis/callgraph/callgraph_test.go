@@ -294,33 +294,6 @@ func TestWriteDOTDeterministic(t *testing.T) {
 	}
 }
 
-func TestFactsRoundTrip(t *testing.T) {
-	g := buildFixture(t, "golden")
-	path := filepath.Join(t.TempDir(), "golden.facts")
-	if err := g.ExportFacts(path, "golden"); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh graph importing the facts sees the exported summaries.
-	g2 := &Graph{Imported: make(map[string]Summary)}
-	g2.ImportFacts(path)
-	s, ok := g2.Imported["golden.Sleeper"]
-	if !ok {
-		t.Fatalf("imported facts missing golden.Sleeper; have %d entries", len(g2.Imported))
-	}
-	if !s.MayBlock {
-		t.Error("imported Sleeper summary lost MayBlock")
-	}
-
-	// Garbage and schema mismatches are ignored, not fatal.
-	bad := filepath.Join(t.TempDir(), "bad.facts")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	g2.ImportFacts(bad)
-	g2.ImportFacts(filepath.Join(t.TempDir(), "missing.facts"))
-}
-
 func TestDisplayKey(t *testing.T) {
 	cases := map[string]string{
 		"procmine/internal/serve.New":            "serve.New",

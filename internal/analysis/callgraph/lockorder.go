@@ -17,8 +17,7 @@ import (
 // which global lock classes each function may acquire (AllAcquires), how it
 // reaches each acquisition (AcqWitness), and which ordered pairs "second
 // acquired while first held" its body establishes (Pairs). Pairs from every
-// function — fresh, skeleton, and imported — condense into one lock-order
-// graph whose cycles are potential deadlocks: two goroutines entering the
+// function condense into one lock-order graph whose cycles are potential deadlocks: two goroutines entering the
 // cycle from different classes can each hold what the other wants.
 //
 // A lock class is an identity coarser than the syncops instance key: all
@@ -58,14 +57,10 @@ type LockSite struct {
 // LockPair records that Second was (or may be, through a callee) acquired
 // while First was held.
 type LockPair struct {
-	First    string         `json:"first"`
-	Second   string         `json:"second"`
-	Witness  string         `json:"witness"`
-	Position token.Position `json:"position"`
-
-	// pos is the raw anchor for fresh pairs, zero for pairs deserialized
-	// from facts or cache (their ASTs are gone; Position survives).
-	pos token.Pos
+	First    string
+	Second   string
+	Witness  string
+	Position token.Position
 }
 
 // LockEdge is one deduplicated lock-order graph edge with its best witness.
@@ -74,9 +69,6 @@ type LockEdge struct {
 	Second   string
 	Witness  string
 	Position token.Position
-	// Pos is the raw anchor when the winning pair was fresh, zero
-	// otherwise; the per-package lockorder pass reports through it.
-	Pos token.Pos
 }
 
 // LockCycle is one strongly connected component of the lock-order graph,
@@ -158,9 +150,8 @@ func summaryTouchesKey(paths []string, recvKey, heldKey string) bool {
 	return false
 }
 
-// computeLockOrder fills AllAcquires, AcqWitness, and Pairs for every fresh
-// function. Skeleton summaries are final inputs; imported summaries
-// contribute through SummaryOf like everywhere else.
+// computeLockOrder fills AllAcquires, AcqWitness, and Pairs for every
+// function.
 func (g *Graph) computeLockOrder() {
 	// Phase 1: AllAcquires, a monotone fixpoint over the finite class set.
 	// Detached calls belong to another goroutine's order; deferred calls
@@ -168,9 +159,6 @@ func (g *Graph) computeLockOrder() {
 	// acquisition does acquire), so only detachment excludes an edge here.
 	for _, k := range g.Keys {
 		fn := g.Functions[k]
-		if fn.skeleton {
-			continue
-		}
 		set := make(map[string]bool)
 		for _, s := range fn.lockSites {
 			if s.Class != "" {
@@ -187,7 +175,7 @@ func (g *Graph) computeLockOrder() {
 			if c.Kind == EdgeStatic && g.Functions[c.Callee] != nil {
 				continue
 			}
-			for _, cls := range g.externalEffect(c).AllAcquires {
+			for _, cls := range intrinsicEffect(c.Callee).AllAcquires {
 				set[cls] = true
 			}
 		}
@@ -197,9 +185,6 @@ func (g *Graph) computeLockOrder() {
 		changed = false
 		for _, k := range g.Keys {
 			fn := g.Functions[k]
-			if fn.skeleton {
-				continue
-			}
 			var grown map[string]bool
 			has := func(cls string) bool {
 				if grown != nil && grown[cls] {
@@ -238,7 +223,7 @@ func (g *Graph) computeLockOrder() {
 	// Phase 2: acquisition witnesses, now that AllAcquires is final.
 	for _, k := range g.Keys {
 		fn := g.Functions[k]
-		if fn.skeleton || len(fn.Summary.AllAcquires) == 0 {
+		if len(fn.Summary.AllAcquires) == 0 {
 			continue
 		}
 		m := make(map[string]string, len(fn.Summary.AllAcquires))
@@ -252,10 +237,10 @@ func (g *Graph) computeLockOrder() {
 		}
 	}
 
-	// Phase 3: ordered pairs from each fresh body's held regions.
+	// Phase 3: ordered pairs from each body's held regions.
 	for _, k := range g.Keys {
 		fn := g.Functions[k]
-		if fn.skeleton || len(fn.lockSites) == 0 || fn.Decl == nil || fn.Decl.Body == nil {
+		if len(fn.lockSites) == 0 || fn.Decl == nil || fn.Decl.Body == nil {
 			continue
 		}
 		g.pairsOf(fn)
@@ -267,9 +252,6 @@ func (g *Graph) computeLockOrder() {
 // blockWitness.
 func (g *Graph) acqWitness(fn *Function, class string, seen map[string]bool, depth int) string {
 	const maxDepth = 6
-	if fn.skeleton {
-		return fn.Summary.AcqWitness[class]
-	}
 	bestPos := -1
 	witness := ""
 	consider := func(pos int, w string) {
@@ -298,7 +280,7 @@ func (g *Graph) acqWitness(fn *Function, class string, seen map[string]bool, dep
 					w += ", which " + sub
 				}
 			}
-		} else if sub := g.externalEffect(c).AcqWitness[class]; sub != "" {
+		} else if sub := intrinsicEffect(c.Callee).AcqWitness[class]; sub != "" {
 			w += ", which " + sub
 		}
 		consider(int(c.Pos), w)
@@ -355,9 +337,9 @@ func (g *Graph) pairsOf(fn *Function) {
 	}
 
 	pairs := make(map[[2]string]LockPair)
-	add := func(first, second, witness string, rawPos token.Pos, pos token.Position) {
+	add := func(first, second, witness string, pos token.Position) {
 		k := [2]string{first, second}
-		p := LockPair{First: first, Second: second, Witness: witness, Position: pos, pos: rawPos}
+		p := LockPair{First: first, Second: second, Witness: witness, Position: pos}
 		if old, ok := pairs[k]; !ok || pairLess(p, old) {
 			pairs[k] = p
 		}
@@ -375,7 +357,7 @@ func (g *Graph) pairsOf(fn *Function) {
 			}
 			w := fmt.Sprintf("%s locks %s while holding %s",
 				DisplayKey(fn.Key), DisplayKey(s2.Class), DisplayKey(s1.Class))
-			add(s1.Class, s2.Class, w, s2.Pos, s2.Position)
+			add(s1.Class, s2.Class, w, s2.Position)
 		}
 	}
 
@@ -416,7 +398,7 @@ func (g *Graph) pairsOf(fn *Function) {
 				}
 				w := fmt.Sprintf("%s holds %s and calls %s, which %s",
 					DisplayKey(fn.Key), DisplayKey(s1.Class), DisplayKey(c.Callee), sub)
-				add(s1.Class, cls, w, c.Pos, c.Position)
+				add(s1.Class, cls, w, c.Position)
 			}
 		}
 	}
@@ -477,13 +459,13 @@ func lockSkipNode(n ast.Node) bool {
 	return false
 }
 
-// LockOrderEdges condenses every function's pairs — fresh, skeleton, and
-// imported — into a deduplicated, sorted edge list. Each edge keeps the
+// LockOrderEdges condenses every function's pairs into a deduplicated,
+// sorted edge list. Each edge keeps the
 // best witness: least valid position, then least witness string.
 func (g *Graph) LockOrderEdges() []LockEdge {
 	best := make(map[[2]string]LockEdge)
 	consider := func(p LockPair) {
-		e := LockEdge{First: p.First, Second: p.Second, Witness: p.Witness, Position: p.Position, Pos: p.pos}
+		e := LockEdge{First: p.First, Second: p.Second, Witness: p.Witness, Position: p.Position}
 		k := [2]string{p.First, p.Second}
 		if old, ok := best[k]; !ok || edgeLess(e, old) {
 			best[k] = e
@@ -491,11 +473,6 @@ func (g *Graph) LockOrderEdges() []LockEdge {
 	}
 	for _, k := range g.Keys {
 		for _, p := range g.Functions[k].Summary.Pairs {
-			consider(p)
-		}
-	}
-	for _, s := range g.Imported {
-		for _, p := range s.Pairs {
 			consider(p)
 		}
 	}
@@ -595,13 +572,13 @@ func shortestCycle(start string, adj map[string]map[string]LockEdge, in map[stri
 	return nil
 }
 
-// Anchor returns the cycle's canonical report position: the least valid
-// edge position, so every run of the module-wide analysis lands the one
+// Anchor returns the cycle's canonical report position: the least edge
+// position, so every run of the module-wide analysis lands the one
 // finding per cycle on the same line.
 func (c LockCycle) Anchor() token.Position {
 	var best token.Position
-	for _, e := range c.Edges {
-		if best.Filename == "" || posLess(e.Position, best) {
+	for i, e := range c.Edges {
+		if i == 0 || posLess(e.Position, best) {
 			best = e.Position
 		}
 	}
@@ -631,8 +608,8 @@ func CycleMessage(c LockCycle) string {
 	return b.String()
 }
 
-// pairLess orders pairs for best-witness selection: valid positions first,
-// then position, then witness text.
+// pairLess orders pairs for best-witness selection: position, then
+// witness text.
 func pairLess(a, b LockPair) bool {
 	if pa, pb := a.Position, b.Position; pa != pb {
 		return posLess(pa, pb)
@@ -647,12 +624,8 @@ func edgeLess(a, b LockEdge) bool {
 	return a.Witness < b.Witness
 }
 
-// posLess orders rendered positions with invalid (empty-filename) ones
-// last, so a real anchor always beats a summary that lost its origin.
+// posLess orders rendered positions by file, line, then column.
 func posLess(a, b token.Position) bool {
-	if (a.Filename != "") != (b.Filename != "") {
-		return a.Filename != ""
-	}
 	if a.Filename != b.Filename {
 		return a.Filename < b.Filename
 	}

@@ -15,8 +15,7 @@ import (
 //
 // The conservative defaults keep unresolved and unknown callees harmless:
 // an unresolved edge contributes nothing to any fact, an external edge
-// contributes only what the intrinsics table (or an imported summary)
-// asserts about it. Detached calls — go statements and the bodies of
+// contributes only what the intrinsics table asserts about it. Detached calls — go statements and the bodies of
 // go-spawned literals — never contribute to MayBlock (the blocking happens
 // on another goroutine) but do contribute to Allocates (the allocation
 // still happens, and spawning in a loop is exactly the storm hotalloc
@@ -79,9 +78,6 @@ func (g *Graph) ComputeSummaries() {
 	// Witnesses after the booleans are final, so cycles terminate.
 	for _, k := range g.Keys {
 		fn := g.Functions[k]
-		if fn.skeleton {
-			continue
-		}
 		if fn.Summary.MayBlock && fn.Summary.BlockWitness == "" {
 			fn.Summary.BlockWitness = g.blockWitness(fn, map[string]bool{fn.Key: true}, 0)
 		}
@@ -94,15 +90,10 @@ func (g *Graph) ComputeSummaries() {
 
 // fixpoint iterates one SCC's summaries until stable.
 func (g *Graph) fixpoint(comp []string) {
-	// Seed each member from its local facts. Skeleton nodes carry a final
-	// summary computed by an earlier run; they are inputs, never variables.
+	// Seed each member from its local facts.
 	for _, k := range comp {
 		fn := g.Functions[k]
-		if fn.skeleton {
-			continue
-		}
 		s := &fn.Summary
-		s.TakesCtx = fn.TakesCtx
 		if len(fn.blockOps) > 0 {
 			s.MayBlock = true
 		}
@@ -127,13 +118,13 @@ func (g *Graph) fixpoint(comp []string) {
 		s.Acquires = acq
 		s.Releases = rel
 		// External/interface/named-type callees contribute through the
-		// intrinsics table or imported summaries; these facts are stable,
-		// so fold them in once here.
+		// intrinsics table; these facts are stable, so fold them in once
+		// here.
 		for _, c := range fn.Calls {
 			if c.Kind == EdgeStatic && g.Functions[c.Callee] != nil {
 				continue
 			}
-			ext := g.externalEffect(c)
+			ext := intrinsicEffect(c.Callee)
 			if ext.MayBlock && !c.Detached {
 				s.MayBlock = true
 			}
@@ -152,9 +143,6 @@ func (g *Graph) fixpoint(comp []string) {
 		changed = false
 		for _, k := range comp {
 			fn := g.Functions[k]
-			if fn.skeleton {
-				continue
-			}
 			s := &fn.Summary
 			for _, c := range fn.Calls {
 				if c.Kind != EdgeStatic {
@@ -189,9 +177,6 @@ func (g *Graph) fixpoint(comp []string) {
 	// of callees, which is final by now.
 	for _, k := range comp {
 		fn := g.Functions[k]
-		if fn.skeleton {
-			continue
-		}
 		s := &fn.Summary
 		if !fn.TakesCtx {
 			continue
@@ -213,8 +198,7 @@ func (g *Graph) fixpoint(comp []string) {
 }
 
 // SummaryOf returns what is known about the callee of c: its computed
-// summary for static calls, an imported summary or the intrinsics table
-// otherwise. The zero Summary — no effect — is the answer for unknown
+// summary for static calls, the intrinsics table otherwise. The zero Summary — no effect — is the answer for unknown
 // callees, so passes built on it stay conservative.
 func (g *Graph) SummaryOf(c Call) Summary {
 	if c.Kind == EdgeStatic {
@@ -222,22 +206,13 @@ func (g *Graph) SummaryOf(c Call) Summary {
 			return callee.Summary
 		}
 	}
-	return g.externalEffect(c)
+	return intrinsicEffect(c.Callee)
 }
 
 // CallMayBlock reports whether the callee of c can block the calling
 // goroutine.
 func (g *Graph) CallMayBlock(c Call) bool {
 	return g.SummaryOf(c).MayBlock
-}
-
-// externalEffect resolves what is known about a non-static callee: an
-// imported summary when one exists, the intrinsics table otherwise.
-func (g *Graph) externalEffect(c Call) Summary {
-	if s, ok := g.Imported[c.Callee]; ok {
-		return s
-	}
-	return intrinsicEffect(c.Callee)
 }
 
 // blockWitness explains why fn may block: the first local cause in source
@@ -275,7 +250,7 @@ func (g *Graph) blockWitness(fn *Function, seen map[string]bool, depth int) stri
 			consider(int(c.Pos), w)
 			continue
 		}
-		if g.externalEffect(c).MayBlock {
+		if intrinsicEffect(c.Callee).MayBlock {
 			consider(int(c.Pos), "calls "+DisplayKey(c.Callee))
 		}
 	}

@@ -4,18 +4,13 @@
 // works offline against the local build cache) and type-checks each target
 // package from source with the standard library's gc importer.
 //
-// Loading is parallel: targets are fed to a bounded worker pool in
-// topological order over the package import DAG (dependencies first), and
-// each worker parses and type-checks one package at a time against a shared
-// thread-safe FileSet with its own gc importer. With Options.CacheDir set,
-// a content-hash cache short-circuits the expensive half of that work: a
-// package whose key — a hash over its source bytes, its in-module
-// dependencies' keys, the analyzer suite, and the driver schema — matches a
-// cache entry skips parsing and type-checking entirely, replaying its
-// per-package findings and contributing its call-graph nodes to the module
-// graph as serialized skeletons. Module-level passes (those with RunModule)
-// are never cached: their findings in one package depend on code elsewhere
-// in the module, so they are recomputed from the full graph every run.
+// A run has one shape. GOMAXPROCS workers parse, type-check and scan the
+// target packages, each against a shared thread-safe FileSet with its own
+// gc importer. Every package's functions then go into one module call
+// graph with computed summaries. Per-package analyzers (Run) see each
+// package with that graph as their facts; module-level analyzers
+// (RunModule) run once over the graph. Findings of both kinds are filtered
+// through the module's //lint:ignore directives.
 //
 // Only non-test files are analyzed: `go list` does not produce export data
 // for the test dependency graph, and the invariants the suite enforces
@@ -25,8 +20,6 @@ package driver
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -48,23 +41,14 @@ import (
 	"procmine/internal/analysis/callgraph"
 )
 
-// CacheSchema identifies the on-disk cache entry format. Bump it whenever
-// the entry layout or the meaning of any cached field changes; the schema
-// string participates in every cache key, so a bump invalidates all prior
-// entries at once.
-const CacheSchema = "procmine-vet-cache/v1"
-
-// Finding is one analyzer diagnostic resolved to a file position. The JSON
-// tags are the cache-entry serialization; token.Position marshals its
-// exported Filename/Offset/Line/Column fields, which is exactly what replay
-// needs.
+// Finding is one analyzer diagnostic resolved to a file position.
 type Finding struct {
 	// Analyzer names the reporting pass.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Pos is the file:line:column of the offending syntax.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// Message states the violation.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -72,33 +56,14 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Options configures a RunWithOptions invocation.
-type Options struct {
-	// CacheDir enables the per-package content-hash cache when non-empty.
-	// Entries are one JSON file per key; unreadable or mismatched entries
-	// are treated as misses and rewritten.
-	CacheDir string
-	// Salt is mixed into every cache key. Callers pass a hash of the
-	// analyzer binary so that rebuilding the tool (new pass logic, same
-	// sources) invalidates the cache.
-	Salt string
-	// Jobs bounds the parallel loader; values <= 0 mean GOMAXPROCS.
-	Jobs int
-	// Dir is the working directory for `go list`; "" means the process
-	// working directory.
-	Dir string
-}
-
 // listPackage is the subset of `go list -json` output the driver consumes.
 type listPackage struct {
 	Dir        string
 	ImportPath string
-	Standard   bool
 	Export     string
 	DepOnly    bool
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Error      *struct{ Err string }
 }
 
@@ -107,14 +72,12 @@ type PassTiming struct {
 	// Pass names the analyzer ("callgraph" for the shared graph+summary
 	// construction that precedes the passes).
 	Pass string `json:"pass"`
-	// Millis is wall time summed across all analyzed packages. Cache-hit
-	// packages replay findings without running the pass, so their cost is
-	// (correctly) absent here.
+	// Millis is wall time summed across all analyzed packages.
 	Millis float64 `json:"millis"`
-	// Findings counts surviving diagnostics, replayed ones included.
+	// Findings counts surviving diagnostics.
 	Findings int `json:"findings"`
 	// Counters aggregates the pass's coverage counters (see
-	// analysis.Pass.Count) across all packages, cached ones included.
+	// analysis.Pass.Count) across all packages.
 	Counters map[string]int `json:"counters,omitempty"`
 }
 
@@ -122,12 +85,6 @@ type PassTiming struct {
 type Stats struct {
 	// Packages is the number of target packages analyzed.
 	Packages int `json:"packages"`
-	// CacheHits counts packages replayed from the content-hash cache.
-	CacheHits int `json:"cacheHits"`
-	// Typechecked counts packages parsed and type-checked this run; on a
-	// fully warm cache it is zero, which is the observable proof that the
-	// cache skipped the expensive work.
-	Typechecked int `json:"typechecked"`
 	// Passes holds one entry per analyzer plus the "callgraph" row, in
 	// suite order.
 	Passes []PassTiming `json:"passes"`
@@ -145,68 +102,26 @@ type Result struct {
 	Graph *callgraph.Graph
 }
 
-// cacheEntry is one package's cached analysis output. Replaying an entry
-// must be observably identical to re-analyzing the package: the findings
-// and counters of every per-package pass, the call-graph node facts the
-// module-level passes need, and the suppression directives that filter
-// module-level findings landing in this package's files.
-type cacheEntry struct {
-	Schema       string                       `json:"schema"`
-	Key          string                       `json:"key"`
-	ImportPath   string                       `json:"importPath"`
-	Findings     []Finding                    `json:"findings,omitempty"`
-	Counters     map[string]map[string]int    `json:"counters,omitempty"`
-	Nodes        []callgraph.NodeFacts        `json:"nodes,omitempty"`
-	Suppressions []analysis.SuppressionRecord `json:"suppressions,omitempty"`
-}
-
-// Run loads the packages matched by patterns, applies every analyzer to
-// each, and returns the surviving findings sorted by position. It returns
-// an error if loading or type-checking fails; analyzers themselves
-// reporting findings is not an error.
-func Run(patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	res, err := RunWithOptions(patterns, analyzers, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// RunWithStats is Run plus per-pass timing and the shared call graph, with
-// default options (no cache, GOMAXPROCS workers).
-func RunWithStats(patterns []string, analyzers []*analysis.Analyzer) (*Result, error) {
-	return RunWithOptions(patterns, analyzers, Options{})
-}
-
-// unit is one target package moving through the run: either freshly
-// parsed+type-checked (files/pkg/info/fns set) or replayed from the cache
-// (cached set).
+// unit is one target package moving through the run.
 type unit struct {
-	lp     listPackage
-	key    string
-	cached *cacheEntry
-	files  []*ast.File
-	pkg    *types.Package
-	info   *types.Info
-	fns    []*callgraph.Function
-	entry  *cacheEntry // cache entry to write after the per-package passes
-	err    error
+	lp    listPackage
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+	fns   []*callgraph.Function
+	err   error
 }
 
-// RunWithOptions runs the suite with explicit cache/parallelism options.
-// The run is staged: load (parallel, cache-aware), one module-wide call
-// graph over fresh nodes and cached skeletons, the per-package passes over
-// fresh units (cached units replay), then the module-level passes over the
-// whole graph. Each per-package pass still sees the whole module's
-// interprocedural facts regardless of package order.
-func RunWithOptions(patterns []string, analyzers []*analysis.Analyzer, opts Options) (*Result, error) {
-	targets, module, exports, err := load(patterns, opts.Dir)
+// Run loads the packages matched by patterns (resolved by `go list` in dir;
+// "" means the process working directory), applies every analyzer, and
+// returns the surviving findings sorted by position together with per-pass
+// timing and the module call graph. It returns an error if loading or
+// type-checking fails; analyzers themselves reporting findings is not an
+// error.
+func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) (*Result, error) {
+	targets, exports, err := load(patterns, dir)
 	if err != nil {
 		return nil, err
-	}
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
 	}
 	fset := token.NewFileSet()
 	analyzed := make(map[string]bool, len(targets))
@@ -214,120 +129,54 @@ func RunWithOptions(patterns []string, analyzers []*analysis.Analyzer, opts Opti
 		analyzed[lp.ImportPath] = true
 	}
 
-	// Cache keys, bottom-up over the in-module import DAG. Hashing also
-	// slurps every target's sources, which the parse on a miss reuses.
-	var keys map[string]string
-	src := make(map[string][]byte)
-	if opts.CacheDir != "" {
-		k := &keyer{
-			module: module,
-			salt:   opts.Salt,
-			passes: passFingerprint(analyzers),
-			keys:   make(map[string]string),
-			src:    src,
-		}
-		keys = k.keys
-		for _, lp := range targets {
-			if _, err := k.keyOf(lp.ImportPath); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Load phase: workers pull targets in topological order (dependencies
-	// first). The order is about scheduling fairness, not correctness —
-	// type-checking reads export data `go list -export` already compiled,
-	// never a sibling worker's output.
-	order := topoOrder(targets)
-	units := make([]*unit, len(order))
+	// Load phase: workers pull targets in `go list` order. Type-checking
+	// reads the export data `go list -export` already compiled, never a
+	// sibling worker's output, so the order does not matter.
+	units := make([]*unit, len(targets))
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				u := &unit{lp: order[i]}
-				if keys != nil {
-					u.key = keys[u.lp.ImportPath]
-				}
-				loadUnit(u, fset, exports, src, analyzed, opts.CacheDir)
+				u := &unit{lp: targets[i]}
+				loadUnit(u, fset, exports, analyzed)
 				units[i] = u
 			}
 		}()
 	}
-	for i := range order {
+	for i := range targets {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+	var allFiles []*ast.File
 	for _, u := range units {
 		if u.err != nil {
 			return nil, u.err
 		}
+		allFiles = append(allFiles, u.files...)
 	}
 
-	// One call graph over everything loaded: fresh nodes installed whole,
-	// cached packages contributing serialized skeletons.
 	graphStart := time.Now()
 	g := callgraph.NewGraph(fset)
 	for _, u := range units {
-		if u.cached != nil {
-			g.AddSkeleton(u.cached.Nodes)
-		} else {
-			g.Install(u.fns)
-		}
+		g.Install(u.fns)
 	}
 	g.Finalize()
 	g.ComputeSummaries()
 	graphElapsed := time.Since(graphStart)
 
-	// The per-package passes. Module-level analyzers (RunModule != nil) are
-	// excluded here: their per-package findings depend on the rest of the
-	// module and are recomputed globally below.
-	var pkgPasses, modPasses []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			modPasses = append(modPasses, a)
-		} else {
-			pkgPasses = append(pkgPasses, a)
-		}
-	}
 	elapsed := make(map[string]time.Duration, len(analyzers))
 	counts := make(map[string]int, len(analyzers))
 	counters := make(map[string]map[string]int)
-	addCounters := func(pass string, cs map[string]int) {
-		if len(cs) == 0 {
-			return
-		}
-		if counters[pass] == nil {
-			counters[pass] = make(map[string]int)
-		}
-		for name, n := range cs {
-			counters[pass][name] += n
-		}
-	}
 	var findings []Finding
-	allSup := analysis.NewSuppressions()
-	stats := Stats{Packages: len(units)}
-	for _, u := range units {
-		if u.cached != nil {
-			stats.CacheHits++
-			findings = append(findings, u.cached.Findings...)
-			for _, f := range u.cached.Findings {
-				counts[f.Analyzer]++
-			}
-			for pass, cs := range u.cached.Counters {
-				addCounters(pass, cs)
-			}
-			allSup.Merge(analysis.SuppressionsFromRecords(u.cached.Suppressions))
+	for _, a := range analyzers {
+		if a.RunModule != nil {
 			continue
 		}
-		stats.Typechecked++
-		sup := analysis.CollectSuppressions(fset, u.files)
-		allSup.Merge(sup)
-		entry := &cacheEntry{Schema: CacheSchema, Key: u.key, ImportPath: u.lp.ImportPath}
-		for _, a := range pkgPasses {
+		for _, u := range units {
 			pass := &analysis.Pass{
 				Fset:      fset,
 				Files:     u.files,
@@ -342,54 +191,34 @@ func RunWithOptions(patterns []string, analyzers []*analysis.Analyzer, opts Opti
 				return nil, fmt.Errorf("%s: %w", u.lp.ImportPath, err)
 			}
 			counts[a.Name] += len(diags)
-			addCounters(a.Name, pass.Counters)
-			if len(pass.Counters) > 0 {
-				if entry.Counters == nil {
-					entry.Counters = make(map[string]map[string]int)
+			for name, n := range pass.Counters {
+				if counters[a.Name] == nil {
+					counters[a.Name] = make(map[string]int)
 				}
-				entry.Counters[a.Name] = pass.Counters
+				counters[a.Name][name] += n
 			}
 			for _, d := range diags {
-				f := Finding{Analyzer: d.Analyzer, Pos: fset.Position(d.Pos), Message: d.Message}
-				findings = append(findings, f)
-				entry.Findings = append(entry.Findings, f)
+				findings = append(findings, Finding{Analyzer: d.Analyzer, Pos: fset.Position(d.Pos), Message: d.Message})
 			}
 		}
-		for _, fn := range u.fns {
-			entry.Nodes = append(entry.Nodes, fn.Facts())
-		}
-		sort.Slice(entry.Nodes, func(i, j int) bool { return entry.Nodes[i].Key < entry.Nodes[j].Key })
-		entry.Suppressions = sup.Records()
-		u.entry = entry
 	}
 
-	// Module-level passes, recomputed from the full graph every run and
-	// filtered through every package's suppression directives (cached
-	// packages contribute theirs as replayed records).
-	for _, a := range modPasses {
+	// Module-level passes run once over the whole graph; a finding can land
+	// in any package, so every package's directives filter it.
+	sup := analysis.CollectSuppressions(fset, allFiles)
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
 		start := time.Now()
 		for _, mf := range a.RunModule(g) {
-			if allSup.SuppressesAt(mf.Pos, a.Name) {
+			if sup.SuppressesAt(mf.Pos, a.Name) {
 				continue
 			}
 			findings = append(findings, Finding{Analyzer: a.Name, Pos: mf.Pos, Message: mf.Message})
 			counts[a.Name]++
 		}
 		elapsed[a.Name] += time.Since(start)
-	}
-
-	if opts.CacheDir != "" {
-		if err := os.MkdirAll(opts.CacheDir, 0o755); err != nil {
-			return nil, fmt.Errorf("creating cache dir: %w", err)
-		}
-		for _, u := range units {
-			if u.entry == nil {
-				continue
-			}
-			if err := writeEntry(opts.CacheDir, u.key, u.entry); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	sort.Slice(findings, func(i, j int) bool {
@@ -409,6 +238,7 @@ func RunWithOptions(patterns []string, analyzers []*analysis.Analyzer, opts Opti
 		return a.Message < b.Message
 	})
 
+	stats := Stats{Packages: len(units)}
 	stats.Passes = append(stats.Passes, PassTiming{
 		Pass:   "callgraph",
 		Millis: float64(graphElapsed.Microseconds()) / 1000,
@@ -424,18 +254,11 @@ func RunWithOptions(patterns []string, analyzers []*analysis.Analyzer, opts Opti
 	return &Result{Findings: findings, Stats: stats, Graph: g}, nil
 }
 
-// loadUnit fills in one target: a cache replay when the entry under u.key
-// validates, a parse+type-check+scan otherwise. Safe to call from multiple
-// workers: the FileSet is synchronized, each call builds its own gc
-// importer, and src/exports/analyzed are read-only by now.
-func loadUnit(u *unit, fset *token.FileSet, exports map[string]string, src map[string][]byte, analyzed map[string]bool, cacheDir string) {
-	if cacheDir != "" {
-		if e := readEntry(cacheDir, u.key, u.lp.ImportPath); e != nil {
-			u.cached = e
-			return
-		}
-	}
-	files, err := parseFiles(fset, u.lp, src)
+// loadUnit parses, type-checks and scans one target. Safe to call from
+// multiple workers: the FileSet is synchronized, each call builds its own gc
+// importer, and exports/analyzed are read-only by now.
+func loadUnit(u *unit, fset *token.FileSet, exports map[string]string, analyzed map[string]bool) {
+	files, err := parseFiles(fset, u.lp)
 	if err != nil {
 		u.err = err
 		return
@@ -466,192 +289,10 @@ func loadUnit(u *unit, fset *token.FileSet, exports map[string]string, src map[s
 	u.fns = callgraph.ScanPackage(fset, callgraph.Package{Files: files, Pkg: pkg, Info: info}, analyzed)
 }
 
-// keyer computes content-hash cache keys bottom-up over the in-module
-// import DAG. A package's key covers the driver schema, the toolchain
-// version, the caller's salt (normally the analyzer binary hash), the pass
-// list, its own source bytes, and — recursively — the keys of every
-// in-module dependency, so any edit anywhere in a package's dependency
-// closure misses the cache. Standard-library dependencies are covered by
-// the toolchain version.
-type keyer struct {
-	module map[string]listPackage
-	salt   string
-	passes string
-	keys   map[string]string
-	src    map[string][]byte
-}
-
-// keyOf returns (memoized) the cache key of one in-module package,
-// stashing its source bytes in k.src for a later parse.
-func (k *keyer) keyOf(path string) (string, error) {
-	if key, ok := k.keys[path]; ok {
-		return key, nil
-	}
-	lp, ok := k.module[path]
-	if !ok {
-		return "", fmt.Errorf("cache key: %s not in module listing", path)
-	}
-	h := sha256.New()
-	for _, s := range []string{CacheSchema, runtime.Version(), k.salt, k.passes, callgraph.FactsSchema, path} {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	for _, name := range lp.GoFiles {
-		p := name
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(lp.Dir, name)
-		}
-		content, err := os.ReadFile(p)
-		if err != nil {
-			return "", fmt.Errorf("cache key: %w", err)
-		}
-		k.src[p] = content
-		sum := sha256.Sum256(content)
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write(sum[:])
-	}
-	imports := append([]string(nil), lp.Imports...)
-	sort.Strings(imports)
-	for _, imp := range imports {
-		if _, inModule := k.module[imp]; !inModule {
-			continue
-		}
-		depKey, err := k.keyOf(imp)
-		if err != nil {
-			return "", err
-		}
-		h.Write([]byte(imp))
-		h.Write([]byte{0})
-		h.Write([]byte(depKey))
-		h.Write([]byte{0})
-	}
-	key := hex.EncodeToString(h.Sum(nil))
-	k.keys[path] = key
-	return key, nil
-}
-
-// passFingerprint folds the analyzer names into the cache key, so enabling
-// or renaming a pass invalidates prior entries.
-func passFingerprint(analyzers []*analysis.Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	return strings.Join(names, ",")
-}
-
-// readEntry loads and validates one cache entry; any failure — missing
-// file, bad JSON, schema or key or package mismatch — is a miss.
-func readEntry(dir, key, importPath string) *cacheEntry {
-	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
-	if err != nil {
-		return nil
-	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil
-	}
-	if e.Schema != CacheSchema || e.Key != key || e.ImportPath != importPath {
-		return nil
-	}
-	return &e
-}
-
-// writeEntry persists one entry atomically: temp file in the cache dir,
-// then rename, so a concurrent reader never sees a torn write.
-func writeEntry(dir, key string, e *cacheEntry) error {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("encoding cache entry: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "entry-*.tmp")
-	if err != nil {
-		return fmt.Errorf("writing cache entry: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("writing cache entry: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, key+".json")); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("writing cache entry: %w", err)
-	}
-	return nil
-}
-
-// topoOrder sorts targets dependencies-first over their in-target import
-// edges (Kahn's algorithm with lexicographic tie-breaking, so the order is
-// deterministic).
-func topoOrder(targets []listPackage) []listPackage {
-	byPath := make(map[string]listPackage, len(targets))
-	indeg := make(map[string]int, len(targets))
-	dependents := make(map[string][]string)
-	for _, lp := range targets {
-		byPath[lp.ImportPath] = lp
-		indeg[lp.ImportPath] = 0
-	}
-	for _, lp := range targets {
-		for _, imp := range lp.Imports {
-			if _, ok := byPath[imp]; !ok {
-				continue
-			}
-			indeg[lp.ImportPath]++
-			dependents[imp] = append(dependents[imp], lp.ImportPath)
-		}
-	}
-	var ready []string
-	for path, d := range indeg {
-		if d == 0 {
-			ready = append(ready, path)
-		}
-	}
-	sort.Strings(ready)
-	out := make([]listPackage, 0, len(targets))
-	for len(ready) > 0 {
-		path := ready[0]
-		ready = ready[1:]
-		out = append(out, byPath[path])
-		next := append([]string(nil), dependents[path]...)
-		sort.Strings(next)
-		for _, dep := range next {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-		sort.Strings(ready)
-	}
-	// Import cycles cannot happen in a compiling module; if go list handed
-	// us one anyway, append the remainder in path order rather than drop it.
-	if len(out) < len(targets) {
-		seen := make(map[string]bool, len(out))
-		for _, lp := range out {
-			seen[lp.ImportPath] = true
-		}
-		var rest []string
-		for _, lp := range targets {
-			if !seen[lp.ImportPath] {
-				rest = append(rest, lp.ImportPath)
-			}
-		}
-		sort.Strings(rest)
-		for _, path := range rest {
-			out = append(out, byPath[path])
-		}
-	}
-	return out
-}
-
 // load invokes `go list -export -deps -json` and splits the result into the
-// target packages (those matched by the patterns), the in-module package
-// listing (targets plus dep-only module packages, for cache-key hashing),
-// and an import-path -> export-data-file map covering every dependency.
-func load(patterns []string, dir string) (targets []listPackage, module map[string]listPackage, exports map[string]string, err error) {
+// target packages (those matched by the patterns) and an import-path ->
+// export-data-file map covering every dependency.
+func load(patterns []string, dir string) (targets []listPackage, exports map[string]string, err error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -659,52 +300,43 @@ func load(patterns []string, dir string) (targets []listPackage, module map[stri
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 	exports = make(map[string]string)
-	module = make(map[string]listPackage)
 	dec := json.NewDecoder(&stdout)
 	for {
 		var lp listPackage
 		if err := dec.Decode(&lp); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, nil, fmt.Errorf("go list: decoding output: %w", err)
+			return nil, nil, fmt.Errorf("go list: decoding output: %w", err)
 		}
 		if lp.Error != nil {
-			return nil, nil, nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
+			return nil, nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
-		}
-		if !lp.Standard && lp.ImportPath != "unsafe" {
-			module[lp.ImportPath] = lp
 		}
 		if lp.DepOnly || lp.ImportPath == "unsafe" {
 			continue
 		}
 		if len(lp.CgoFiles) > 0 {
-			return nil, nil, nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
+			return nil, nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
 		}
 		targets = append(targets, lp)
 	}
-	return targets, module, exports, nil
+	return targets, exports, nil
 }
 
-// parseFiles parses a package's non-test Go files with comments, reusing
-// source bytes the cache-key hashing already read when available.
-func parseFiles(fset *token.FileSet, lp listPackage, src map[string][]byte) ([]*ast.File, error) {
+// parseFiles parses a package's non-test Go files with comments.
+func parseFiles(fset *token.FileSet, lp listPackage) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(lp.GoFiles))
 	for _, name := range lp.GoFiles {
 		path := name
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(lp.Dir, name)
 		}
-		var content any
-		if b, ok := src[path]; ok {
-			content = b
-		}
-		f, err := parser.ParseFile(fset, path, content, parser.ParseComments)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", path, err)
 		}

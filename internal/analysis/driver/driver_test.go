@@ -40,17 +40,28 @@ func suite() []*analysis.Analyzer {
 	}
 }
 
+// TestSuiteEntryPoints pins the single entry point per analyzer: each
+// sets exactly one of Run (per package) and RunModule (once per module).
+func TestSuiteEntryPoints(t *testing.T) {
+	for _, a := range suite() {
+		if (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("%s: sets Run=%v RunModule=%v, want exactly one", a.Name, a.Run != nil, a.RunModule != nil)
+		}
+	}
+}
+
 // TestSelfCheck runs the full eleven-pass suite over the whole module and
-// requires it to be clean modulo the committed baseline: the invariants the
-// passes enforce hold in this tree, and CI keeps it that way. If this test
-// fails, either fix the reported site, suppress it with a reasoned
-// //lint:ignore directive, or (for deliberate hot-path allocation debt)
-// regenerate BASELINE.json with -baseline write.
+// requires it to be clean modulo the committed baseline, gated through
+// baseline.Diff exactly as `-baseline check` is: the invariants the passes
+// enforce hold in this tree, and CI keeps it that way. If this test fails,
+// either fix the reported site, suppress it with a reasoned //lint:ignore
+// directive, or (for deliberate debt) regenerate BASELINE.json with
+// -baseline write.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list; skipped in -short mode")
 	}
-	findings, err := driver.Run([]string{"procmine/..."}, suite())
+	res, err := driver.Run("", []string{"procmine/..."}, suite())
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -59,14 +70,11 @@ func TestSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading baseline: %v", err)
 	}
-	accept := baseline.Acceptor(base, root)
-	for _, f := range findings {
-		if accept(f.Pos.Filename, f.Analyzer, f.Message) {
-			continue
-		}
+	fresh := baseline.Diff(base, root, res.Findings)
+	for _, f := range baseline.Select(fresh, root, res.Findings) {
 		t.Errorf("%s", f)
 	}
-	for _, e := range baseline.Stale(base, root, findings) {
+	for _, e := range baseline.Stale(base, root, res.Findings) {
 		t.Errorf("stale baseline entry: %s %s %q x%d (regenerate with -baseline write)", e.File, e.Pass, e.Message, e.Count)
 	}
 }
@@ -107,28 +115,28 @@ func TestRunFindsSeededViolation(t *testing.T) {
 			return nil
 		},
 	}
-	findings, err := driver.Run([]string{"procmine/internal/analysis/driver"}, []*analysis.Analyzer{probe})
+	res, err := driver.Run("", []string{"procmine/internal/analysis/driver"}, []*analysis.Analyzer{probe})
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
-	if len(findings) == 0 {
+	if len(res.Findings) == 0 {
 		t.Fatal("probe analyzer produced no findings; driver is not visiting files")
 	}
-	for _, f := range findings {
+	for _, f := range res.Findings {
 		if !strings.Contains(f.Message, "probe visited") {
 			t.Errorf("unexpected finding %s", f)
 		}
 	}
 }
 
-// writeCacheModule lays out a synthetic two-package module with one
+// writeTwoPackageModule lays out a synthetic two-package module with one
 // lock-order cycle (lockorder, module-level) and one leaked Lock
-// (lockbalance, per-package), the second package importing the first so the
-// cache key DAG has a real edge.
-func writeCacheModule(t *testing.T, dir string) {
+// (lockbalance, per-package), the second package importing the first and
+// calling into the cycle so the module graph has a real cross-package edge.
+func writeTwoPackageModule(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{
-		"go.mod": "module cachetest\n\ngo 1.22\n",
+		"go.mod": "module crosstest\n\ngo 1.22\n",
 		"internal/x/x.go": `package x
 
 import "sync"
@@ -158,7 +166,7 @@ func (p *Pair) Leak() {
 `,
 		"internal/y/y.go": `package y
 
-import "cachetest/internal/x"
+import "crosstest/internal/x"
 
 func Use(p *x.Pair) {
 	p.AB()
@@ -176,125 +184,42 @@ func Use(p *x.Pair) {
 	}
 }
 
-// TestCacheDeterminism pins the warm-cache contract: a rerun with nothing
-// changed type-checks zero packages and produces byte-identical findings —
-// the per-package ones replayed from cache entries, the module-level ones
-// (the lock-order cycle) recomputed from skeleton nodes alone.
-func TestCacheDeterminism(t *testing.T) {
+// TestCrossPackageDeterminism runs the suite twice over the two-package
+// module. Each run must resolve y's call into x as a static edge whose lock
+// classes reach y's summary, and report the lock-order cycle and the leaked
+// Lock; the two runs' findings must be byte-identical.
+func TestCrossPackageDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	writeCacheModule(t, dir)
-	opts := driver.Options{
-		CacheDir: filepath.Join(dir, "vetcache"),
-		Salt:     "determinism-test",
-		Dir:      dir,
-	}
-	cold, err := driver.RunWithOptions([]string{"./..."}, suite(), opts)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if cold.Stats.CacheHits != 0 || cold.Stats.Typechecked != cold.Stats.Packages {
-		t.Errorf("cold run: cacheHits=%d typechecked=%d packages=%d, want 0/%d/%d",
-			cold.Stats.CacheHits, cold.Stats.Typechecked, cold.Stats.Packages,
-			cold.Stats.Packages, cold.Stats.Packages)
-	}
-	var haveOrder, haveBalance bool
-	for _, f := range cold.Findings {
-		switch f.Analyzer {
-		case "lockorder":
-			haveOrder = true
-		case "lockbalance":
-			haveBalance = true
+	writeTwoPackageModule(t, dir)
+	var runs [2][]byte
+	for i := range runs {
+		res, err := driver.Run(dir, []string{"./..."}, suite())
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.Stats.Packages != 2 {
+			t.Errorf("run %d analyzed %d package(s), want 2", i, res.Stats.Packages)
+		}
+		use := res.Graph.Functions["crosstest/internal/y.Use"]
+		if use == nil {
+			t.Fatalf("run %d: call graph has no node for y.Use", i)
+		}
+		got := strings.Join(use.Summary.AllAcquires, " ")
+		if want := "(crosstest/internal/x.Pair).A (crosstest/internal/x.Pair).B"; got != want {
+			t.Errorf("run %d: y.Use acquires %q across the import edge, want %q", i, got, want)
+		}
+		if countBy(res.Findings, "lockorder") != 1 || countBy(res.Findings, "lockbalance") != 1 {
+			t.Fatalf("run %d: want one lockorder and one lockbalance finding, got:\n%v", i, res.Findings)
+		}
+		if runs[i], err = json.Marshal(res.Findings); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !haveOrder || !haveBalance {
-		t.Fatalf("cold run missing seeded findings (lockorder=%v lockbalance=%v):\n%v",
-			haveOrder, haveBalance, cold.Findings)
-	}
-
-	warm, err := driver.RunWithOptions([]string{"./..."}, suite(), opts)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if warm.Stats.Typechecked != 0 {
-		t.Errorf("warm run type-checked %d package(s), want 0 (cache should have replayed all %d)",
-			warm.Stats.Typechecked, warm.Stats.Packages)
-	}
-	if warm.Stats.CacheHits != warm.Stats.Packages {
-		t.Errorf("warm run: cacheHits=%d, want %d", warm.Stats.CacheHits, warm.Stats.Packages)
-	}
-	coldJSON, err := json.Marshal(cold.Findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmJSON, err := json.Marshal(warm.Findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(coldJSON) != string(warmJSON) {
-		t.Errorf("warm-cache findings not byte-identical to cold run:\ncold: %s\nwarm: %s", coldJSON, warmJSON)
-	}
-}
-
-// TestCacheInvalidation edits the leaf package and requires both it and its
-// importer to miss (the dependent's key covers its dependency closure), and
-// the findings to track the new content — here, the cycle disappearing.
-func TestCacheInvalidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invokes go list; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	writeCacheModule(t, dir)
-	opts := driver.Options{
-		CacheDir: filepath.Join(dir, "vetcache"),
-		Salt:     "invalidation-test",
-		Dir:      dir,
-	}
-	if _, err := driver.RunWithOptions([]string{"./..."}, suite(), opts); err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-
-	// Break the cycle: BA now takes A then B, same as AB.
-	path := filepath.Join(dir, "internal", "x", "x.go")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(src), `func (p *Pair) BA() {
-	p.B.Lock()
-	defer p.B.Unlock()
-	p.A.Lock()
-	p.A.Unlock()
-}`, `func (p *Pair) BA() {
-	p.A.Lock()
-	defer p.A.Unlock()
-	p.B.Lock()
-	p.B.Unlock()
-}`, 1)
-	if edited == string(src) {
-		t.Fatal("edit did not apply")
-	}
-	if err := os.WriteFile(path, []byte(edited), 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	after, err := driver.RunWithOptions([]string{"./..."}, suite(), opts)
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	if after.Stats.Typechecked != 2 {
-		t.Errorf("post-edit run type-checked %d package(s), want 2 (the edited leaf and its importer)",
-			after.Stats.Typechecked)
-	}
-	for _, f := range after.Findings {
-		if f.Analyzer == "lockorder" {
-			t.Errorf("lock-order cycle survived the fix: %s", f)
-		}
-	}
-	if n := countBy(after.Findings, "lockbalance"); n != 1 {
-		t.Errorf("post-edit lockbalance findings = %d, want the 1 seeded leak", n)
+	if string(runs[0]) != string(runs[1]) {
+		t.Errorf("findings differ between two runs over the same tree:\nfirst:  %s\nsecond: %s", runs[0], runs[1])
 	}
 }
 

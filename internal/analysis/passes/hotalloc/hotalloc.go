@@ -3,10 +3,8 @@
 // scans, the Algorithm 2 marking loops); every function reachable from a
 // root over static call edges is hot, and each of its in-loop allocation
 // sites — composite literal, make, new, append — is a finding, as is an
-// in-loop call to any callee that allocates. The current sites (the ~33k
-// allocs/op the bench trajectory records for the dense scan) are carried in
-// BASELINE.json, so the gate blocks new allocations immediately while the
-// columnar-core refactor drives the accepted count to zero.
+// in-loop call to any callee that allocates. BASELINE.json accepts no
+// sites, so any new in-loop allocation on the hot path fails the gate.
 //
 // The pass reports sites, not functions: a baseline entry keyed on
 // (file, pass, message, count) then tracks exactly how many of each
@@ -17,9 +15,6 @@ package hotalloc
 
 import (
 	"fmt"
-	"go/ast"
-	"go/types"
-	"strings"
 
 	"procmine/internal/analysis"
 	"procmine/internal/analysis/callgraph"
@@ -27,21 +22,17 @@ import (
 
 // Analyzer returns the hotalloc pass. It is module-level (RunModule):
 // whether a function is hot depends on //procmine:hot roots in its
-// importers, so per-package findings cannot be cached against the
-// package's own content — the driver recomputes them from the module graph
-// every run. Run remains for the per-package vettool protocol and
-// analysistest.
+// importers, so it runs once over the module graph.
 func Analyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name:      "hotalloc",
 		Doc:       "forbids allocations inside loops of functions reachable from //procmine:hot roots",
-		Run:       run,
 		RunModule: runModule,
 	}
 }
 
-// runModule is run over the module-wide graph: the same findings, minus the
-// per-package file loop (which exists only to scope Run to one package).
+// runModule reports every in-loop allocation site of a hot function, and
+// every in-loop call from one to an allocating callee.
 func runModule(facts any) []analysis.ModuleFinding {
 	g, ok := facts.(*callgraph.Graph)
 	if !ok || g == nil {
@@ -65,6 +56,10 @@ func runModule(facts any) []analysis.ModuleFinding {
 				"%s allocates in a loop on the //procmine:hot path; hoist it out of the loop or reuse a buffer",
 				a.What)})
 		}
+		// An in-loop call to an allocating callee is an allocation per
+		// iteration even when the callee's own sites are loop-free.
+		// Hot-reachable callees report their own in-loop sites, so only
+		// the call-side amplification is reported here.
 		for _, c := range fn.Calls {
 			if !c.InLoop || c.Kind != callgraph.EdgeStatic {
 				continue
@@ -79,67 +74,4 @@ func runModule(facts any) []analysis.ModuleFinding {
 		}
 	}
 	return out
-}
-
-// inScope covers the whole module; the hot set itself is opt-in via the
-// annotation, so the path predicate only keeps fixture semantics uniform
-// with the other passes.
-func inScope(pass *analysis.Pass) bool {
-	if pass.ForceScope {
-		return true
-	}
-	path := pass.Pkg.Path()
-	return strings.Contains(path, "internal/") || strings.HasPrefix(path, "procmine")
-}
-
-func run(pass *analysis.Pass) error {
-	if !inScope(pass) {
-		return nil
-	}
-	g, ok := pass.Facts.(*callgraph.Graph)
-	if !ok || g == nil {
-		return nil
-	}
-	hot := g.HotReachable()
-	if len(hot) == 0 {
-		return nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			fn := g.Lookup(obj)
-			if fn == nil || !hot[fn.Key] {
-				continue
-			}
-			for _, a := range fn.Allocs {
-				if !a.InLoop {
-					continue
-				}
-				pass.Reportf(a.Pos,
-					"%s allocates in a loop on the //procmine:hot path; hoist it out of the loop or reuse a buffer",
-					a.What)
-			}
-			// An in-loop call to an allocating callee is an allocation per
-			// iteration even when the callee's own sites are loop-free.
-			// Hot-reachable callees report their own in-loop sites, so only
-			// the call-side amplification is reported here.
-			for _, c := range fn.Calls {
-				if !c.InLoop || c.Kind != callgraph.EdgeStatic {
-					continue
-				}
-				s := g.SummaryOf(c)
-				if !s.Allocates || s.AllocsInLoop {
-					continue
-				}
-				pass.Reportf(c.Pos,
-					"call to %s allocates, and this call sits in a loop on the //procmine:hot path; hoist the allocation out or pass in a buffer",
-					callgraph.DisplayKey(c.Callee))
-			}
-		}
-	}
-	return nil
 }

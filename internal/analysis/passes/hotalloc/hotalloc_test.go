@@ -10,9 +10,3 @@ import (
 func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", hotalloc.Analyzer(), "a")
 }
-
-// TestHotAllocScope proves the scoping exempts out-of-scope packages even
-// when they carry the annotation.
-func TestHotAllocScope(t *testing.T) {
-	analysistest.RunUnscoped(t, "testdata", hotalloc.Analyzer(), "b")
-}

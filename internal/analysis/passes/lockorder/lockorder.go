@@ -22,37 +22,19 @@
 package lockorder
 
 import (
-	"go/token"
-	"strings"
-
 	"procmine/internal/analysis"
 	"procmine/internal/analysis/callgraph"
 )
 
 // Analyzer returns the lockorder pass. It is module-level (RunModule): a
-// cycle's edges can come from any two packages, so per-package findings
-// cannot be cached against one package's content. Run remains for the
-// vettool protocol and analysistest; there it reports a cycle at its least
-// edge position inside the current package (the module-wide driver anchors
-// at the globally least edge instead — in a clean tree the difference is
-// unobservable, and in a dirty one both report every cycle).
+// cycle's edges can come from any two packages, so it runs once over the
+// module graph and reports each cycle at its least edge position.
 func Analyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name:      "lockorder",
 		Doc:       "detects lock-order cycles (potential ABBA deadlocks) across the module's call graph",
-		Run:       run,
 		RunModule: runModule,
 	}
-}
-
-// inScope mirrors the module-wide passes: everything in this module locks
-// something eventually.
-func inScope(pass *analysis.Pass) bool {
-	if pass.ForceScope {
-		return true
-	}
-	path := pass.Pkg.Path()
-	return strings.Contains(path, "internal/") || strings.HasPrefix(path, "procmine")
 }
 
 func runModule(facts any) []analysis.ModuleFinding {
@@ -68,48 +50,4 @@ func runModule(facts any) []analysis.ModuleFinding {
 		})
 	}
 	return out
-}
-
-func run(pass *analysis.Pass) error {
-	if !inScope(pass) {
-		return nil
-	}
-	g, ok := pass.Facts.(*callgraph.Graph)
-	if !ok || g == nil {
-		return nil
-	}
-	files := make(map[string]bool, len(pass.Files))
-	for _, f := range pass.Files {
-		files[pass.Fset.Position(f.Pos()).Filename] = true
-	}
-	for _, c := range g.LockCycles() {
-		// Anchor at the least in-package edge; a cycle with no edge in
-		// this package belongs to whoever can see all of it (with facts
-		// files that is every importer of both sides).
-		var anchor token.Pos
-		var best token.Position
-		for _, e := range c.Edges {
-			if !files[e.Position.Filename] || !e.Pos.IsValid() {
-				continue
-			}
-			if anchor == token.NoPos || positionLess(e.Position, best) {
-				anchor, best = e.Pos, e.Position
-			}
-		}
-		if anchor == token.NoPos {
-			continue
-		}
-		pass.Reportf(anchor, "%s", callgraph.CycleMessage(c))
-	}
-	return nil
-}
-
-func positionLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
 }

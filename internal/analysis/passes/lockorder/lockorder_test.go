@@ -17,20 +17,13 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", lockorder.Analyzer(), "a", "b", "c", "d")
 }
 
-// TestLockOrderScope proves the package-path scoping: the same ABBA cycle
-// (fixture e, a copy of a without want annotations) is silent when the
-// package is out of scope.
-func TestLockOrderScope(t *testing.T) {
-	analysistest.RunUnscoped(t, "testdata", lockorder.Analyzer(), "e")
-}
-
-// TestRunModuleMatchesRun pins the module-level entry point against the
-// per-package one on the ABBA fixture: same single cycle, same message.
-func TestRunModuleMatchesRun(t *testing.T) {
+// TestCycleMessage pins the full diagnostic for the ABBA fixture: one
+// cycle, both witness chains, the fix hint, and an anchor in the fixture.
+func TestCycleMessage(t *testing.T) {
 	g := analysistest.BuildFixtureGraph(t, "testdata", "a")
 	findings := lockorder.Analyzer().RunModule(g)
 	if len(findings) != 1 {
-		t.Fatalf("RunModule reported %d findings, want 1: %v", len(findings), findings)
+		t.Fatalf("reported %d findings, want 1: %v", len(findings), findings)
 	}
 	f := findings[0]
 	for _, frag := range []string{
@@ -40,10 +33,10 @@ func TestRunModuleMatchesRun(t *testing.T) {
 		"establish a single canonical acquisition order",
 	} {
 		if !strings.Contains(f.Message, frag) {
-			t.Errorf("RunModule message missing %q:\n%s", frag, f.Message)
+			t.Errorf("message missing %q:\n%s", frag, f.Message)
 		}
 	}
 	if !strings.HasSuffix(f.Pos.Filename, "a.go") || f.Pos.Line == 0 {
-		t.Errorf("RunModule anchor not in fixture: %+v", f.Pos)
+		t.Errorf("anchor not in fixture: %+v", f.Pos)
 	}
 }

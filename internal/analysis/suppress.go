@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -27,8 +26,8 @@ type directive struct {
 	ownLine  bool   // no code precedes the comment on its line
 }
 
-// Suppressions indexes the valid lint:ignore directives of a package by
-// file.
+// Suppressions indexes the valid lint:ignore directives of a set of files
+// by file.
 type Suppressions struct {
 	byFile map[string][]directive
 }
@@ -112,7 +111,7 @@ func (s *Suppressions) Suppresses(fset *token.FileSet, d Diagnostic) bool {
 }
 
 // SuppressesAt is Suppresses for an already-rendered position — the form
-// module-level findings and cache-replayed suppressions work in.
+// module-level findings work in.
 func (s *Suppressions) SuppressesAt(pos token.Position, analyzer string) bool {
 	for _, dir := range s.byFile[pos.Filename] {
 		if dir.analyzer != "" && dir.analyzer != analyzer {
@@ -123,62 +122,4 @@ func (s *Suppressions) SuppressesAt(pos token.Position, analyzer string) bool {
 		}
 	}
 	return false
-}
-
-// SuppressionRecord is the serializable form of one directive, so a driver
-// cache can replay a package's suppressions without reparsing it.
-type SuppressionRecord struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer,omitempty"`
-	OwnLine  bool   `json:"ownLine,omitempty"`
-}
-
-// Records flattens the index deterministically (by file, then line, then
-// analyzer).
-func (s *Suppressions) Records() []SuppressionRecord {
-	files := make([]string, 0, len(s.byFile))
-	for f := range s.byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	var out []SuppressionRecord
-	for _, f := range files {
-		for _, d := range s.byFile[f] {
-			out = append(out, SuppressionRecord{File: f, Line: d.line, Analyzer: d.analyzer, OwnLine: d.ownLine})
-		}
-		n := len(out) - len(s.byFile[f])
-		recs := out[n:]
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].Line != recs[j].Line {
-				return recs[i].Line < recs[j].Line
-			}
-			return recs[i].Analyzer < recs[j].Analyzer
-		})
-	}
-	return out
-}
-
-// SuppressionsFromRecords rebuilds an index from its serialized form.
-func SuppressionsFromRecords(recs []SuppressionRecord) *Suppressions {
-	s := &Suppressions{byFile: make(map[string][]directive)}
-	for _, r := range recs {
-		s.byFile[r.File] = append(s.byFile[r.File], directive{line: r.Line, analyzer: r.Analyzer, ownLine: r.OwnLine})
-	}
-	return s
-}
-
-// Merge folds other's directives into s.
-func (s *Suppressions) Merge(other *Suppressions) {
-	if other == nil {
-		return
-	}
-	for f, dirs := range other.byFile {
-		s.byFile[f] = append(s.byFile[f], dirs...)
-	}
-}
-
-// NewSuppressions returns an empty index, ready to Merge into.
-func NewSuppressions() *Suppressions {
-	return &Suppressions{byFile: make(map[string][]directive)}
 }
