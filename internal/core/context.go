@@ -148,7 +148,7 @@ func mineLog(ctx context.Context, l *wlog.Log, opt Options, label bool, tr *obs.
 	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
 	st := scanState(work, tr)
 	sp.End()
-	g, err := mineCounts(ctx, st, opt, "threshold", tr, diag)
+	g, _, err := mineCounts(ctx, []StateView{st.view(l.Len())}, nil, opt, "threshold", tr, diag)
 	if err != nil {
 		if label {
 			return nil, fmt.Errorf("core: mining labeled log: %w", err)

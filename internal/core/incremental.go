@@ -25,12 +25,19 @@ import (
 // 20,000-execution, 100-activity service workload holds 16,079 distinct
 // sets). Mine runs steps 3-7 on the state through the batch pipeline.
 //
+// The label and set arenas only ever grow by appending, so View can
+// capture the state for MineViews in time proportional to the pairs: a
+// caller holding its own lock around Add (the service's shards) takes the
+// view under that lock and mines it after releasing the lock, and
+// MineViews with a MarkCache then reduces only the sets appended since its
+// last mine while the dependency graph is unchanged.
+//
 // Every execution is stored in instance-labeled form (Algorithm 3), so
 // processes with cycles work transparently; for acyclic logs the labeled
 // pipeline plus the final merge produces exactly the Algorithm 2 result.
 //
 // The zero value is ready to use. IncrementalMiner is not safe for
-// concurrent use.
+// concurrent use; a StateView taken from it is.
 type IncrementalMiner struct {
 	st         state
 	executions int
@@ -134,21 +141,9 @@ func (im *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*grap
 }
 
 // MineTracedContext is MineContext with per-stage spans (assemble → scc →
-// mark → merge) recorded on tr; a nil trace is free. The service's /model
-// path uses it to feed the mine_stage_seconds histograms.
+// mark → merge) recorded on tr; a nil trace is free. It mines a view of the
+// miner through MineViews, without a mark cache.
 func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, tr *obs.Trace) (*graph.Digraph, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkAlphabet(len(im.st.labels), opt); err != nil {
-		return nil, err
-	}
-	g, err := mineCounts(ctx, &im.st, opt, "assemble", tr, nil)
-	if err != nil {
-		return nil, err
-	}
-	sp := tr.Start("merge")
-	g = MergeInstances(g)
-	sp.End()
-	return g, nil
+	g, _, err := MineViews(ctx, []StateView{im.st.view(im.executions)}, nil, opt, tr)
+	return g, err
 }

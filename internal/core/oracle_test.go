@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -476,6 +477,135 @@ func TestReferenceOracleServe(t *testing.T) {
 			if got := graphKey(mineIncremental(t, merged, core.Options{})); got != want {
 				t.Errorf("%s/shards=%d: merged shard miners differ from the reference oracle\ngot:  %s\nwant: %s",
 					name, shards, got, want)
+			}
+		}
+	}
+}
+
+// chainExecution is an execution running acts one after another.
+func chainExecution(id string, acts ...string) wlog.Execution {
+	e := wlog.Execution{ID: id}
+	for i, a := range acts {
+		e.Steps = append(e.Steps, wlog.Step{Activity: a, Start: time.Unix(0, int64(10*i+1)), End: time.Unix(0, int64(10*i+5))})
+	}
+	return e
+}
+
+// markCacheCounts scrapes s's /model mark-cache counters.
+func markCacheCounts(t *testing.T, s *serve.Server) (hit, miss float64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		var v float64
+		if _, err := fmt.Sscanf(line, `procmined_mark_cache_total{result="hit"} %g`, &v); err == nil {
+			hit = v
+		} else if _, err := fmt.Sscanf(line, `procmined_mark_cache_total{result="miss"} %g`, &v); err == nil {
+			miss = v
+		}
+	}
+	return hit, miss
+}
+
+// TestReferenceOracleServeSteps ingests in steps into serve.Server at
+// several shard counts, with /model of every scope between them, so each
+// scope's mark cache goes through its miss, extend and plain-hit paths.
+// After every step each served graph equals the oracle over the executions
+// ingested so far into that scope. Step "new sets" adds only sets whose
+// orders were all observed before, so the all-shard dependency graph stays
+// and must be served by extending the cached marks; its sets add marks
+// the earlier ones did not. Steps "new activity" and "2-cycle" change the
+// graph and must re-mark.
+func TestReferenceOracleServeSteps(t *testing.T) {
+	acts := []string{"a", "b", "c", "d", "e"}
+	// subsets returns every ordered subset of acts of at least two
+	// activities for which keep holds.
+	subsets := func(keep func(set []string) bool) [][]string {
+		var out [][]string
+		for mask := 0; mask < 1<<len(acts); mask++ {
+			var set []string
+			for i, a := range acts {
+				if mask&(1<<i) != 0 {
+					set = append(set, a)
+				}
+			}
+			if len(set) >= 2 && keep(set) {
+				out = append(out, set)
+			}
+		}
+		return out
+	}
+	hasC := func(set []string) bool { return slices.Contains(set, "c") }
+	var base, fresh []wlog.Execution
+	for i, set := range subsets(hasC) {
+		base = append(base, chainExecution(fmt.Sprintf("base%02d", i), set...))
+	}
+	for i, set := range subsets(func(set []string) bool { return !hasC(set) }) {
+		fresh = append(fresh, chainExecution(fmt.Sprintf("fresh%02d", i), set...))
+	}
+	var again []wlog.Execution
+	for _, e := range base {
+		e.ID += "_again"
+		again = append(again, e)
+	}
+	steps := []struct {
+		name  string
+		execs []wlog.Execution
+		hit   bool // the all-shard scope's first mine hits; else it misses
+	}{
+		{"base", base, false},
+		{"new sets", fresh, true},
+		{"new activity", []wlog.Execution{chainExecution("new0", "a", "b", "f"), chainExecution("new1", "c", "f")}, false},
+		{"2-cycle", []wlog.Execution{chainExecution("rev0", "a", "c", "b", "e")}, false},
+		{"repeats", again, true},
+	}
+	for _, shards := range []int{1, 3, 4} {
+		s, err := serve.New(serve.Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ingested []wlog.Execution
+		for _, st := range steps {
+			var body bytes.Buffer
+			if err := wlog.WriteText(&body, (&wlog.Log{Executions: st.execs}).Events()); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest?format=text", &body))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shards=%d %s: POST /ingest = %d: %s", shards, st.name, rec.Code, rec.Body.String())
+			}
+			ingested = append(ingested, st.execs...)
+
+			hit, miss := markCacheCounts(t, s)
+			for _, target := range []string{"/model?format=json", "/model?format=json&shard=all"} {
+				want := graphKey(referenceMine(t, &wlog.Log{Executions: ingested}, core.Options{}))
+				if g, execs := servedGraph(t, s, target); graphKey(g) != want || execs != len(ingested) {
+					t.Errorf("shards=%d %s: GET %s serves %d executions, %s\nwant %d executions, %s",
+						shards, st.name, target, execs, graphKey(g), len(ingested), want)
+				}
+			}
+			// The second all-shard mine always hits.
+			wantHit, wantMiss := 2.0, 0.0
+			if !st.hit {
+				wantHit, wantMiss = 1, 1
+			}
+			if h, m := markCacheCounts(t, s); h-hit != wantHit || m-miss != wantMiss {
+				t.Errorf("shards=%d %s: all-shard mines took %v hits and %v misses, want %v and %v",
+					shards, st.name, h-hit, m-miss, wantHit, wantMiss)
+			}
+			for i := 0; i < shards; i++ {
+				var part []wlog.Execution
+				for _, e := range ingested {
+					if shardOf(e.ID, shards) == i {
+						part = append(part, e)
+					}
+				}
+				want := graphKey(referenceMine(t, &wlog.Log{Executions: part}, core.Options{}))
+				if g, execs := servedGraph(t, s, fmt.Sprintf("/model?format=json&shard=%d", i)); graphKey(g) != want || execs != len(part) {
+					t.Errorf("shards=%d %s: shard %d serves %d executions, %s\nwant %d executions, %s",
+						shards, st.name, i, execs, graphKey(g), len(part), want)
+				}
 			}
 		}
 	}

@@ -162,6 +162,21 @@ func (g *Digraph) Edges() []Edge {
 	return out
 }
 
+// EdgeBits returns the edges as a bitset over the dense index space: bit
+// u*n+v is set iff the edge from vertex u to vertex v exists, for n
+// vertices. Two graphs with the same labels at the same dense indices are
+// equal iff their EdgeBits are.
+func (g *Digraph) EdgeBits() *Bitset {
+	n := len(g.label)
+	b := NewBitset(n * n)
+	for u, m := range g.succ {
+		for v := range m {
+			b.Set(u*n + v)
+		}
+	}
+	return b
+}
+
 // Successors returns the labels of vertices directly reachable from v,
 // sorted. It returns nil if v does not exist.
 func (g *Digraph) Successors(v string) []string {

@@ -254,9 +254,14 @@ func modelResponseOf(g *graph.Digraph, executions int) ModelResponse {
 }
 
 // handleModel mines the requested scope — all shards merged (default) or a
-// single shard — and renders it as DOT (default) or JSON. Each shard in
-// scope is merged into a private miner (the "collect" stage); the merge
-// property makes the result byte-identical to mining the undivided log.
+// single shard — and renders it as DOT (default) or JSON. Both parameters
+// are checked before any shard is touched. Under each shard's lock the
+// "collect" stage copies only the pair counts and captures the
+// append-only set arenas by length (shard.collect); marking then runs
+// outside every lock, through the scope's mark cache, which reduces only
+// the sets appended since the last mine while the dependency graph is
+// unchanged. The merge property makes the result byte-identical to mining
+// the undivided log.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if !s.admit() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
@@ -266,7 +271,14 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	scope := s.shards
+	format := r.URL.Query().Get("format")
+	switch format {
+	case "", "dot", "json":
+	default:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown model format %q", format)})
+		return
+	}
+	scope, cache := s.shards, &s.marks[len(s.shards)]
 	if q := r.URL.Query().Get("shard"); q != "" && q != "all" {
 		i, err := strconv.Atoi(q)
 		if err != nil || i < 0 || i >= len(s.shards) {
@@ -274,17 +286,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 				errorResponse{Error: fmt.Sprintf("shard %q: want 0..%d or all", q, len(s.shards)-1)})
 			return
 		}
-		scope = s.shards[i : i+1]
+		scope, cache = s.shards[i:i+1], &s.marks[i]
 	}
 
-	tr := obs.NewTrace()
-	sp := tr.Start("collect")
-	merged := core.NewIncrementalMiner()
-	for _, sh := range scope {
-		sh.collect(merged)
-	}
-	sp.End()
-	g, err := merged.MineTracedContext(ctx, s.cfg.Mine, tr)
+	g, executions, stages, stats, err := s.mineModel(ctx, scope, cache)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: err.Error()})
@@ -293,16 +298,31 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.met.observeMineStages(tr.Stages())
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		_, _ = io.WriteString(w, g.Dot("procmined"))
-	case "json":
-		writeJSON(w, http.StatusOK, modelResponseOf(g, merged.Executions()))
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown model format %q", format)})
+	s.met.observeMine(stages, stats)
+	if format == "json" {
+		writeJSON(w, http.StatusOK, modelResponseOf(g, executions))
+		return
 	}
+	w.Header().Set("Content-Type", "text/vnd.graphviz")
+	_, _ = io.WriteString(w, g.Dot("procmined"))
+}
+
+// mineModel mines one /model scope through its mark cache: the "collect"
+// stage captures each shard under its lock, then core.MineViews runs with
+// no lock held. It returns the graph, the executions it covers and the
+// trace's stages.
+func (s *Server) mineModel(ctx context.Context, scope []*shard, cache *core.MarkCache) (*graph.Digraph, int, []obs.Stage, core.MarkStats, error) {
+	tr := obs.NewTrace()
+	sp := tr.Start("collect")
+	views := make([]core.StateView, len(scope))
+	executions := 0
+	for i, sh := range scope {
+		views[i] = sh.collect()
+		executions += views[i].Executions()
+	}
+	sp.End()
+	g, stats, err := core.MineViews(ctx, views, cache, s.cfg.Mine, tr)
+	return g, executions, tr.Stages(), stats, err
 }
 
 // StatsResponse is the /stats reply.

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"strconv"
 
+	"procmine/internal/core"
 	"procmine/internal/obs"
 	"procmine/internal/wlog"
 )
@@ -26,9 +27,13 @@ func errorClasses() []wlog.ErrorClass {
 // rejectReasons enumerates the shard admission-rejection outcomes.
 func rejectReasons() []string { return []string{"overload", "deadline"} }
 
-// mineStageNames enumerates the /model stages (the shard merge, then the
-// mine's) pre-registered so the families exist at zero from startup.
+// mineStageNames enumerates every /model stage — the shard collect, then
+// core.MineViews' — registered at startup, so the families exist at zero
+// and the request path never writes the stage map.
 func mineStageNames() []string { return []string{"collect", "assemble", "scc", "mark", "merge"} }
+
+// markResults enumerates the /model mark-cache outcomes.
+func markResults() []string { return []string{"hit", "miss"} }
 
 // shardMetrics is one shard's pre-resolved ingest series.
 type shardMetrics struct {
@@ -50,12 +55,15 @@ type shardMetrics struct {
 // middleware. A nil *serveMetrics would never occur — New always builds
 // one, against the injected registry or a private one.
 type serveMetrics struct {
-	reg    *obs.Registry
 	httpm  *obs.HTTPMetrics
 	shards []shardMetrics
-	// mineStage maps stage name -> histogram; the known stages are
-	// pre-registered, unknown ones (future stages) resolve lazily.
+	// mineStage maps stage name -> histogram, every stage registered at
+	// construction and only read afterwards.
 	mineStage map[string]*obs.Histogram
+	// markCache counts /model mark-cache outcomes by result; setsReduced
+	// counts the activity sets the marking pass reduced.
+	markCache   map[string]*obs.Counter
+	setsReduced *obs.Counter
 	// decode-stage totals for the request-level decode pass, before events
 	// are partitioned to shards.
 	decodeRecords *obs.Counter
@@ -66,9 +74,11 @@ type serveMetrics struct {
 // shard count.
 func newServeMetrics(reg *obs.Registry, shards int, logger *slog.Logger) *serveMetrics {
 	m := &serveMetrics{
-		reg:       reg,
 		httpm:     obs.NewHTTPMetrics(reg, "procmined", logger),
 		mineStage: make(map[string]*obs.Histogram),
+		markCache: make(map[string]*obs.Counter),
+		setsReduced: reg.Counter("procmined_mark_sets_reduced_total",
+			"Activity sets reduced by the /model marking pass; a mark-cache hit reduces only those appended since the last mine."),
 		decodeRecords: reg.Counter("procmined_decode_records_total",
 			"Records read by the request decode stage, before shard partitioning."),
 		decodeErrs: make(map[wlog.ErrorClass]*obs.Counter),
@@ -81,6 +91,11 @@ func newServeMetrics(reg *obs.Registry, shards int, logger *slog.Logger) *serveM
 		m.mineStage[stage] = reg.Histogram("procmined_mine_stage_seconds",
 			"Wall time per incremental-mine stage on /model requests.",
 			obs.LatencyBuckets(), obs.L("stage", stage))
+	}
+	for _, result := range markResults() {
+		m.markCache[result] = reg.Counter("procmined_mark_cache_total",
+			"/model mark-cache lookups by result; a hit means the dependency graph was unchanged since the scope's last mine.",
+			obs.L("result", result))
 	}
 	m.shards = make([]shardMetrics, shards)
 	for i := range m.shards {
@@ -126,19 +141,20 @@ func newServeMetrics(reg *obs.Registry, shards int, logger *slog.Logger) *serveM
 	return m
 }
 
-// observeMineStages feeds a completed mine trace into the per-stage
-// histograms, resolving any stage name not pre-registered.
-func (m *serveMetrics) observeMineStages(stages []obs.Stage) {
+// observeMine feeds a completed /model mine into the per-stage histograms
+// and the mark-cache counters.
+func (m *serveMetrics) observeMine(stages []obs.Stage, stats core.MarkStats) {
 	for _, st := range stages {
-		h := m.mineStage[st.Name]
-		if h == nil {
-			h = m.reg.Histogram("procmined_mine_stage_seconds",
-				"Wall time per incremental-mine stage on /model requests.",
-				obs.LatencyBuckets(), obs.L("stage", st.Name))
-			m.mineStage[st.Name] = h
+		if h := m.mineStage[st.Name]; h != nil {
+			h.Observe(st.Seconds)
 		}
-		h.Observe(st.Seconds)
 	}
+	result := "miss"
+	if stats.Hit {
+		result = "hit"
+	}
+	m.markCache[result].Inc()
+	m.setsReduced.Add(int64(stats.Sets))
 }
 
 // ingestDelta applies one request's outcome to a shard's series: the events

@@ -123,6 +123,9 @@ type Server struct {
 	shards []*shard
 	snaps  *snapshotter
 	mux    *http.ServeMux
+	// marks holds one mark cache per /model scope: marks[i] for shard i
+	// alone, marks[len(shards)] for all shards.
+	marks []core.MarkCache
 
 	mu       sync.Mutex
 	intake   ReportTotals // decode-stage totals across all requests
@@ -157,6 +160,7 @@ func New(cfg Config) (*Server, error) {
 		met:   met,
 		log:   logger,
 		snaps: snaps,
+		marks: make([]core.MarkCache, cfg.Shards+1),
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {

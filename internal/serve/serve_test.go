@@ -129,9 +129,9 @@ func TestShardedIngestMatchesBatch(t *testing.T) {
 }
 
 // TestConcurrentIngestAndModel serves /model while /ingest batches land on
-// every shard, so the race detector sees each shard merged into a request's
-// private miner beside concurrent pushes, and checks that the final model
-// equals one batch mine.
+// every shard, so the race detector sees each shard's set arena read by a
+// mine outside the shard lock beside concurrent pushes, and checks that the
+// final model equals one batch mine.
 func TestConcurrentIngestAndModel(t *testing.T) {
 	l := serveLog(48)
 	want := batchDot(t, l, core.Options{})
@@ -400,8 +400,7 @@ func TestRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestText(t, s2, textOf(t, serveLog(4)), http.StatusOK)
-	miner := core.NewIncrementalMiner()
-	s2.shards[0].collect(miner)
+	miner, _ := s2.shards[0].minerSnapshot()
 	if err := s.shards[0].restore(miner, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -530,6 +529,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	ingestText(t, s, textOf(t, serveLog(8)), http.StatusOK)
 	modelDot(t, s)
+	// A bad parameter is refused before any shard is collected.
+	if rec := do(t, s, http.MethodGet, "/model?format=bogus", "", ""); rec.Code != http.StatusBadRequest {
+		t.Fatalf("GET /model?format=bogus = %d, want 400", rec.Code)
+	}
 	if rec := do(t, s, http.MethodPost, "/admin/snapshot", "", ""); rec.Code != http.StatusOK {
 		t.Fatalf("POST /admin/snapshot = %d", rec.Code)
 	}
@@ -559,6 +562,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricSum(t, exp, `procmined_mine_stage_seconds_count{stage="collect"}`); got != 1 {
 		t.Errorf(`mine_stage_seconds{stage="collect"} count = %v, want 1 after one GET /model`, got)
 	}
+	// The first mine of a scope misses the mark cache and reduces every
+	// distinct set: 8 executions hold at most 8.
+	if got := metricSum(t, exp, `procmined_mark_cache_total{result="miss"}`); got != 1 {
+		t.Errorf(`mark_cache_total{result="miss"} = %v, want 1 after one GET /model`, got)
+	}
+	if got := metricSum(t, exp, `procmined_mark_cache_total{result="hit"}`); got != 0 || !strings.Contains(exp, `procmined_mark_cache_total{result="hit"}`) {
+		t.Errorf(`mark_cache_total{result="hit"} = %v, want 0, registered at startup`, got)
+	}
+	reduced := metricSum(t, exp, "procmined_mark_sets_reduced_total")
+	if reduced < 1 || reduced > 8 {
+		t.Errorf("mark_sets_reduced_total = %v, want 1..8 distinct sets of 8 executions", reduced)
+	}
 	if got := metricSum(t, exp, "procmined_snapshot_save_seconds_count"); got != 2 {
 		t.Errorf("snapshot_save_seconds count = %v, want 2 (one save per shard)", got)
 	}
@@ -578,6 +593,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
+	// Mining the unchanged state again hits and reduces no further set.
+	modelDot(t, s)
+	exp = do(t, s, http.MethodGet, "/metrics", "", "").Body.String()
+	if got := metricSum(t, exp, `procmined_mark_cache_total{result="hit"}`); got != 1 {
+		t.Errorf(`mark_cache_total{result="hit"} = %v, want 1 after a second GET /model`, got)
+	}
+	if got := metricSum(t, exp, "procmined_mark_sets_reduced_total"); got != reduced {
+		t.Errorf("mark_sets_reduced_total = %v after a hit with no new sets, want %v", got, reduced)
+	}
+
 	// A restart over the same snapshot dir records restore timings.
 	s2, err := New(Config{Shards: 2, SnapshotDir: s.cfg.SnapshotDir})
 	if err != nil {
@@ -586,5 +611,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	rec = do(t, s2, http.MethodGet, "/metrics", "", "")
 	if got := metricSum(t, rec.Body.String(), "procmined_snapshot_restore_seconds_count"); got != 2 {
 		t.Errorf("snapshot_restore_seconds count after restart = %v, want 2", got)
+	}
+}
+
+// TestMineStageNamesRegistered checks that every stage a /model mine
+// records — mineModel's collect, then the core stages it shares with
+// IncrementalMiner.MineTracedContext — has its histogram registered at
+// startup, so concurrent requests only ever read the stage map.
+func TestMineStageNamesRegistered(t *testing.T) {
+	s, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := serveLog(8)
+	ingestText(t, s, textOf(t, l), http.StatusOK)
+	_, _, stages, _, err := s.mineModel(context.Background(), s.shards, &s.marks[len(s.shards)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := core.NewIncrementalMiner()
+	if err := im.AddLog(l); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	if _, err := im.MineTracedContext(context.Background(), core.Options{}, tr); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, name := range mineStageNames() {
+		known[name] = true
+	}
+	for _, st := range append(stages, tr.Stages()...) {
+		if !known[st.Name] || s.met.mineStage[st.Name] == nil {
+			t.Errorf("stage %q is not registered at startup (mineStageNames %v)", st.Name, mineStageNames())
+		}
+	}
+	if len(stages) != len(mineStageNames()) {
+		t.Errorf("/model recorded %d stages, want one per name of %v", len(stages), mineStageNames())
 	}
 }

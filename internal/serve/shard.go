@@ -209,12 +209,13 @@ func (sh *shard) restore(miner *core.IncrementalMiner, open []wlog.OpenExecution
 	return sh.stream.RestoreOpen(open)
 }
 
-// collect merges the shard's miner into dst, a /model request's private
-// miner, under the shard mutex; sinceSnap is untouched.
-func (sh *shard) collect(dst *core.IncrementalMiner) {
+// collect captures the shard's miner for a /model request under the shard
+// mutex: a copy of the pair counts and the execution total, and the set
+// arena by length, never reading a set. sinceSnap is untouched.
+func (sh *shard) collect() core.StateView {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dst.AddFrom(sh.miner)
+	return sh.miner.View()
 }
 
 // drain closes the shard's stream: completed executions are emitted into
